@@ -154,11 +154,12 @@ def _solver_config(cfg: ExperimentConfig, k: int, trial: int) -> SolverConfig:
     )
 
 
-def _construct_coreset(cfg: ExperimentConfig, problem, k: int, trial: int):
-    """Returns (weights, trace-or-None, construction time in ns)."""
+def _construct_coreset(cfg: ExperimentConfig, problem, n: int, k: int, trial: int):
+    """Returns (weights, trace-or-None, construction time in ns); ``n`` is the
+    number of data points."""
     if cfg.solver == "uniform":
         t0 = time.perf_counter_ns()
-        weights = uniform_coreset(cfg_n_data(cfg, problem), k, (cfg.seed, trial, 2, k))
+        weights = uniform_coreset(n, k, (cfg.seed, trial, 2, k))
         return weights, None, time.perf_counter_ns() - t0
     scfg = _solver_config(cfg, k, trial)
     t0 = time.perf_counter_ns()
@@ -174,10 +175,6 @@ def _construct_coreset(cfg: ExperimentConfig, problem, k: int, trial: int):
         weights, trace = solve_aiht_batched(problem, scfg)
     elapsed = time.perf_counter_ns() - t0
     return weights, trace, elapsed
-
-
-def cfg_n_data(cfg: ExperimentConfig, problem) -> int:
-    return problem.n if problem is not None else cfg.n_data
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
@@ -203,7 +200,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
             "seed": cfg.seed + trial,
         }
         try:
-            weights, trace, elapsed = _construct_coreset(cfg, problem, k, trial)
+            weights, trace, elapsed = _construct_coreset(cfg, problem, n, k, trial)
             if not cfg.record_timing:
                 elapsed = 0
                 trace = trace.with_zeroed_time() if trace is not None else None

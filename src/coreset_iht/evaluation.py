@@ -27,6 +27,11 @@ class EnumerationBudgetError(RuntimeError):
     """Support enumeration would exceed the configured budget."""
 
 
+class NegativeKlError(RuntimeError):
+    """A Gaussian KL divergence came out below -1e-9: the inputs are too
+    ill-conditioned for the Cholesky-based formula to be trusted."""
+
+
 def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
     """KL(p || q) between Gaussians, via Cholesky factors.
 
@@ -43,7 +48,7 @@ def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
     kl = 0.5 * (trace + maha - p.dim + logdet_q - logdet_p)
     if kl < 0:
         if kl < -1e-9:
-            raise AssertionError(f"KL computed strongly negative: {kl}")
+            raise NegativeKlError(f"KL computed strongly negative: {kl}")
         kl = 0.0
     return kl
 

@@ -1,6 +1,6 @@
 """Iterative hard-thresholding solvers for the non-negative k-sparse fit.
 
-Three variants are provided:
+Four variants are provided:
 
 * ``solve_vanilla_iht``  -- fixed-step projected gradient descent.
 * ``solve_aiht``         -- automated variant with exact line search on the
@@ -8,6 +8,18 @@ Three variants are provided:
   coefficient is itself line-searched.
 * ``solve_aiht_debias``  -- same, plus a de-bias step per iteration: a second
   line-searched gradient step confined to the current sparse support.
+* ``solve_aiht_batched`` -- ``solve_aiht`` with a stochastic gradient.
+
+The three accelerated variants share one iteration kernel. Per iteration it
+reads the whole of ``phi`` for one product, ``phi.T @ r`` in the gradient.
+Every other product is with a vector of at most 3k nonzeros: the image of
+the momentum iterate z (at most 2k nonzeros) inside the gradient, the line
+search, the debias step, the momentum coefficient and the objective. Such a
+product multiplies only the gathered columns when they are at most 1/16 of
+the n columns, O(s_dim * k), and reads the whole of ``phi`` otherwise
+(``problem._Columns``). The top-k selections are O(n) partitions. So on a
+wide problem (n >> 16 * 3k) an iteration costs about one gradient, and on a
+tall one (n small) it does the same dense products as the plain formulas.
 
 ``solve_aiht_batched`` swaps the exact gradient for an unbiased two-mask
 stochastic estimator so large problems can run on data batches. Along a
@@ -36,6 +48,9 @@ from .problem import (
     SparseRegressionProblem,
     WeightVector,
     _as_weights,
+    _Columns,
+    _residual,
+    gradient,
     objective,
     project_topk_excluding,
     project_topk_nonneg,
@@ -162,11 +177,24 @@ def line_search_step(problem: SparseRegressionProblem, direction) -> float:
     Returns 0 when ``phi @ d`` vanishes (the degenerate contract).
     """
     d = np.asarray(direction, dtype=np.float64)
-    pd = problem.phi @ d
+    return _exact_step(d, _Columns(problem.phi, np.flatnonzero(d)).image(d))
+
+
+def _exact_step(d: np.ndarray, pd: np.ndarray) -> float:
+    """``line_search_step`` from the direction d and its image phi @ d."""
     denom = float(pd @ pd)
     if denom == 0.0:
         return 0.0
     return float(d @ d) / (2.0 * denom)
+
+
+def _line_minimizer(r: np.ndarray, pd: np.ndarray) -> float:
+    """argmin over t of ||r - t * pd||^2, i.e. <r, pd> / ||pd||^2; 0 when
+    ``pd`` vanishes."""
+    denom = float(pd @ pd)
+    if denom == 0.0:
+        return 0.0
+    return float(r @ pd) / denom
 
 
 def step_along(problem: SparseRegressionProblem, point, direction) -> float:
@@ -176,19 +204,14 @@ def step_along(problem: SparseRegressionProblem, point, direction) -> float:
     descent direction at z. For the exact gradient restricted to a support S
     this equals ``line_search_step``, since <phi z - y, phi g|S> =
     ||g|S||^2 / 2. Both images come from the columns in supp(z) and supp(d),
-    so the cost is O(s_dim * (|supp z| + |supp d|)). Returns 0 when
-    ``phi @ d`` vanishes.
+    so while those are small shares of n the cost is
+    O(s_dim * (|supp z| + |supp d|)). Returns 0 when ``phi @ d`` vanishes.
     """
     z = _as_weights(point)
     d = np.asarray(direction, dtype=np.float64)
-    z_idx = np.flatnonzero(z)
-    d_idx = np.flatnonzero(d)
-    pd = problem.phi[:, d_idx] @ d[d_idx]
-    denom = float(pd @ pd)
-    if denom == 0.0:
-        return 0.0
-    resid = problem.phi[:, z_idx] @ z[z_idx] - problem.y
-    return max(0.0, float(resid @ pd) / denom)
+    pd = _Columns(problem.phi, np.flatnonzero(d)).image(d)
+    # f(z - mu d) = ||r - mu (-pd)||^2 with r = y - phi z.
+    return max(0.0, _line_minimizer(_residual(problem, z), -pd))
 
 
 def momentum_coefficient(problem: SparseRegressionProblem, w_next, w_prev,
@@ -207,14 +230,15 @@ def momentum_coefficient(problem: SparseRegressionProblem, w_next, w_prev,
     if wn.shape != wp.shape:
         raise ValueError("weight vectors differ in length")
     d = wn - wp
-    pd = problem.phi @ d
-    denom = float(pd @ pd)
-    if denom == 0.0:
-        return 0.0
-    num = float((problem.y - problem.phi @ wn) @ pd)
-    if formula == "halved_argmin":
-        return num / (2.0 * denom)
-    return num / denom
+    pd = _Columns(problem.phi, np.flatnonzero(d)).image(d)
+    return _momentum(_residual(problem, wn), pd, formula)
+
+
+def _momentum(r_next: np.ndarray, pd: np.ndarray, formula: str) -> float:
+    """``momentum_coefficient`` from the residual y - phi w_next and the image
+    phi (w_next - w_prev)."""
+    tau = _line_minimizer(r_next, pd)
+    return tau / 2.0 if formula == "halved_argmin" else tau
 
 
 def stochastic_gradient(problem: SparseRegressionProblem, weights,
@@ -225,6 +249,9 @@ def stochastic_gradient(problem: SparseRegressionProblem, weights,
     are drawn; each mask zeroes the unselected coordinates and scales the
     selected ones by n/B, one applied to ``w`` inside the residual and one to
     the output coordinates. Expectation over the draws equals the gradient.
+    Only the B output coordinates are computed, so for a batch of at most
+    n/16 and a sparse ``w`` the cost is O(s_dim * B) rather than
+    O(s_dim * n).
     """
     if not 0 < batch_fraction <= 1:
         raise ValueError(f"batch_fraction must be in (0, 1], got {batch_fraction}")
@@ -240,10 +267,9 @@ def stochastic_gradient(problem: SparseRegressionProblem, weights,
     sel_outer = rng.choice(n, size=b, replace=False)
     masked_w = np.zeros(n)
     masked_w[sel_inner] = w[sel_inner] * scale
-    resid = problem.phi @ masked_w - problem.y
-    full = 2.0 * (problem.phi.T @ resid)
     out = np.zeros(n)
-    out[sel_outer] = full[sel_outer] * scale
+    out[sel_outer] = _Columns(problem.phi, sel_outer).gradient(
+        _residual(problem, masked_w)) * scale
     return out
 
 
@@ -278,7 +304,7 @@ def solve_vanilla_iht(problem: SparseRegressionProblem, cfg: SolverConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(max_iters):
             t0 = time.perf_counter_ns()
-            grad = gradient_dense(problem, w)
+            grad = gradient(problem, w)
             w_next = project_topk_nonneg(w - step * grad, cfg.k).w
             f = objective(problem, w_next)
             if not np.isfinite(f):
@@ -293,11 +319,6 @@ def solve_vanilla_iht(problem: SparseRegressionProblem, cfg: SolverConfig,
     return WeightVector(w), SolverTrace(records, termination)
 
 
-def gradient_dense(problem: SparseRegressionProblem, w: np.ndarray) -> np.ndarray:
-    """Gradient on a raw array; solver iterates may have negative entries."""
-    return -2.0 * (problem.phi.T @ (problem.y - problem.phi @ w))
-
-
 def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
                      debias: bool,
                      gradient_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -305,17 +326,25 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
                      capture: Optional[list] = None):
     """Shared accelerated-IHT loop.
 
-    ``gradient_fn`` replaces the exact gradient. A batched solve with
+    ``gradient_fn`` replaces the exact gradient at z. A batched solve with
     ``batch_fraction < 1`` takes it to be an estimate: the step comes from
     ``step_along`` and the first small or stalled step switches the loop to
     the exact gradient instead of terminating it.
+
+    Only the gradient's ``phi.T @ r`` has to read all of ``phi``. Every
+    other product is with a vector of at most 3k nonzeros and goes through
+    ``_Columns``: the line search over the expanded support, and one shared
+    set of columns, supp(x) and supp(w), for the debias step, the momentum
+    coefficient and the objective. phi @ (w_next - w) is the image of the
+    exact difference; a difference of two images would cancel to a few
+    digits as the iterates settle, and that error changes the iterates.
     """
     if cfg.k > problem.n:
         raise ValueError(f"k={cfg.k} exceeds problem size n={problem.n}")
     max_iters = cfg.effective_max_iters(batched=batched)
 
     def exact_grad(v: np.ndarray) -> np.ndarray:
-        return gradient_dense(problem, v)
+        return gradient(problem, v)
 
     grad_at = gradient_fn if gradient_fn is not None else exact_grad
     stochastic = batched and cfg.batch_fraction < 1.0
@@ -344,22 +373,28 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
         # restricted one.
         x = project_topk_nonneg(z - mu * grad, cfg.k).w
         x_projected = x
+        # Every later product of the iteration is with a vector that is zero
+        # outside supp(x) and supp(w), so those columns are gathered once.
+        cols = _Columns(problem.phi, np.union1d(np.flatnonzero(x), np.flatnonzero(w)))
 
         mu_debias = None
         debias_grad = None
         if debias:
-            x_support = np.flatnonzero(x)
-            debias_grad = restrict(grad_at(x), x_support)
+            debias_grad = np.zeros(n)
+            debias_grad[cols.idx] = cols.gradient(problem.y - cols.image(x))
+            debias_grad[x == 0.0] = 0.0  # restricted to supp(x)
             if float(debias_grad @ debias_grad) > 0.0:
-                mu_debias = line_search_step(problem, debias_grad)
+                mu_debias = _exact_step(debias_grad, cols.image(debias_grad))
                 # Support cannot grow: the restricted gradient vanishes off
                 # supp(x), so only the non-negativity projection is needed.
                 x = np.maximum(x - mu_debias * debias_grad, 0.0)
 
         w_next = x
-        tau = momentum_coefficient(problem, w_next, w, cfg.momentum_formula)
-        z_next = w_next + tau * (w_next - w)
-        f = objective(problem, w_next)
+        step = w_next - w
+        r_next = problem.y - cols.image(w_next)
+        tau = _momentum(r_next, cols.image(step), cfg.momentum_formula)
+        z_next = w_next + tau * step
+        f = float(r_next @ r_next)
         if not np.isfinite(f):
             raise DivergenceError(t)
         ns = time.perf_counter_ns() - t0

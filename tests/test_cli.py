@@ -186,6 +186,24 @@ class TestMainEntry:
                    "--no-timing"])
         assert rc == 1
 
+    def test_csv_uniform_sweep_uses_dataset_size(self, tmp_path, capsys):
+        # The uniform baseline once drew weights for the default n_data (100)
+        # rather than the CSV's 300 rows, and every run failed.
+        rc = main(["gen-data", "--experiment", "logistic", "--dim", "2",
+                   "--n-data", "300", "--seed", "1", "--outdir", str(tmp_path)])
+        assert rc == 0
+        data_path = capsys.readouterr().out.strip()
+        outdir = tmp_path / "runs"
+        rc = main(["sweep", "--experiment", "csv", "--csv-path", data_path,
+                   "--csv-kind", "logistic", "--solver", "uniform", "--k", "10",
+                   "--trials", "2", "--seed", "0", "--outdir", str(outdir), "--no-timing"])
+        assert rc == 0
+        runs = [json.loads(p.read_text()) for p in sorted(outdir.glob("run_*.json"))]
+        assert len(runs) == 2
+        for run in runs:
+            assert "error" not in run
+            assert len(run["support"]) == 10 and max(run["support"]) < 300
+
     def test_gen_data_and_csv_experiment(self, tmp_path, capsys):
         rc = main(["gen-data", "--experiment", "poisson", "--dim", "1",
                    "--n-data", "30", "--seed", "2", "--outdir", str(tmp_path)])

@@ -9,6 +9,7 @@ from scipy.optimize import nnls as scipy_nnls
 from coreset_iht import (
     EnumerationBudgetError,
     GaussianDist,
+    NegativeKlError,
     RipConstants,
     SolverConfig,
     SparseRegressionProblem,
@@ -62,6 +63,17 @@ class TestGaussianKl:
         with pytest.raises(ValueError):
             gaussian_kl(GaussianDist([0.0], [[1.0]]),
                         GaussianDist([0.0, 0.0], np.eye(2)))
+
+    def test_strongly_negative_result_raises_typed_error(self, monkeypatch):
+        # KL >= 0 in exact arithmetic, so only a broken triangular solve can
+        # drive it below -1e-9; a solver returning zeros gives -d/2.
+        from coreset_iht import evaluation
+
+        monkeypatch.setattr(evaluation, "solve_triangular",
+                            lambda a, b, lower: np.zeros_like(b))
+        d = GaussianDist([0.0, 0.0], np.eye(2))
+        with pytest.raises(NegativeKlError, match="strongly negative"):
+            gaussian_kl(d, d)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(2)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreset_iht import (
     SparseRegressionProblem,
@@ -212,6 +214,52 @@ class TestProjectTopkExcluding:
     def test_out_of_range_excluded(self):
         with pytest.raises(ValueError):
             project_topk_excluding([1.0, 2.0], 1, {5})
+
+
+def stable_sort_topk_nonneg(v, k):
+    """Reference projection: the first k of a stable descending argsort."""
+    clipped = np.where(v > 0, v, 0.0)
+    keep = np.argsort(-clipped, kind="stable")[:k]
+    out = np.zeros(v.shape[0])
+    out[keep] = clipped[keep]
+    return out
+
+
+def stable_sort_topk_excluding(v, k, excluded):
+    mask = np.ones(v.shape[0], dtype=bool)
+    mask[list(excluded)] = False
+    candidates = np.flatnonzero(mask)
+    order = np.argsort(-np.abs(v[candidates]), kind="stable")
+    return np.sort(candidates[order[:k]])
+
+
+@st.composite
+def vectors_and_k(draw):
+    """Short vectors over a few repeated values (ties, signed zeros,
+    negatives) mixed with arbitrary finite floats, and k often close to n."""
+    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(
+        -1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    v = np.array(draw(st.lists(values, min_size=1, max_size=24)))
+    n = v.shape[0]
+    k = draw(st.integers(1, n) | st.integers(max(1, n - 2), n))
+    excluded = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return v, k, excluded
+
+
+class TestTopkAgainstStableSort:
+    @settings(max_examples=300, deadline=None)
+    @given(vectors_and_k())
+    def test_nonneg_projection(self, case):
+        v, k, _ = case
+        assert np.array_equal(project_topk_nonneg(v, k).w, stable_sort_topk_nonneg(v, k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors_and_k())
+    def test_excluding_selection(self, case):
+        v, k, excluded = case
+        got = project_topk_excluding(v, k, excluded)
+        assert np.array_equal(got, stable_sort_topk_excluding(v, k, excluded))
+        assert got.dtype == np.int64
 
 
 class TestRestrict:

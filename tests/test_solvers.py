@@ -18,6 +18,7 @@ from coreset_iht import (
     nnls_on_support,
     objective,
     project_topk_nonneg,
+    restrict,
     solve_aiht,
     solve_aiht_batched,
     solve_aiht_debias,
@@ -25,7 +26,7 @@ from coreset_iht import (
     step_along,
     stochastic_gradient,
 )
-from coreset_iht.solvers import _accelerated_iht, gradient_dense
+from coreset_iht.solvers import _accelerated_iht
 from conftest import random_problem, recovery_problem
 
 
@@ -329,6 +330,24 @@ class TestStochasticGradient:
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - exact) <= 3 * se)
 
+    def test_matches_dense_formula_for_the_same_draws(self):
+        # Wide problem, small batch: only the batch's columns are read.
+        rng = np.random.default_rng(17)
+        problem = random_problem(rng, 6, 200)
+        w = np.zeros(200)
+        w[rng.choice(200, size=40, replace=False)] = rng.uniform(0.5, 2.0, size=40)
+        got = stochastic_gradient(problem, w, 0.05, np.random.default_rng(4))
+        draws = np.random.default_rng(4)
+        sel_inner = draws.choice(200, size=10, replace=False)
+        sel_outer = draws.choice(200, size=10, replace=False)
+        masked = np.zeros(200)
+        masked[sel_inner] = 20.0 * w[sel_inner]
+        full = 2.0 * (problem.phi.T @ (problem.phi @ masked - problem.y))
+        expected = np.zeros(200)
+        expected[sel_outer] = 20.0 * full[sel_outer]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(full).max())
+        assert np.count_nonzero(got) <= 10
+
     def test_zero_batch_rejected(self):
         problem = zero_target_problem(4)
         with pytest.raises(ValueError):
@@ -364,7 +383,7 @@ class TestAihtBatched:
         assert trace.termination is Termination.CONVERGED
         assert trace.records[-1].f < objective(problem, np.zeros(problem.n))
         last = capture[-1]
-        np.testing.assert_array_equal(last["grad"], gradient_dense(problem, last["z"]))
+        np.testing.assert_array_equal(last["grad"], gradient(problem, last["z"]))
 
     def test_stochastic_step_never_raises_objective(self):
         problem, _ = make_planted_problem(20, 40, 3, seed=(4, 1))
@@ -415,6 +434,33 @@ class TestStepAlong:
     def test_null_image_gives_zero(self):
         problem = SparseRegressionProblem(np.array([[1.0, 1.0]]), [1.0])
         assert step_along(problem, [1.0, 0.0], [1.0, -1.0]) == 0.0
+
+
+class TestKernelCapture:
+    # A tall problem, whose products all read the whole of phi, and a wide
+    # one, whose products all use gathered columns (3k <= n / 16).
+    @pytest.mark.parametrize("s_dim, n, k", [(300, 12, 3), (30, 2000, 5)])
+    @pytest.mark.parametrize("solver", [solve_aiht, solve_aiht_debias])
+    def test_steps_match_public_definitions(self, s_dim, n, k, solver):
+        problem = random_problem(np.random.default_rng(20), s_dim, n, y_scale=3.0)
+        capture = []
+        _, trace = solver(problem, SolverConfig(k=k, max_iters=100), capture=capture)
+        assert len(trace) > 3
+        for rec, c in zip(trace.records, capture):
+            assert np.array_equal(c["grad"], gradient(problem, c["z"]))
+            assert c["mu"] == pytest.approx(line_search_step(problem, c["grad_restricted"]),
+                                            rel=1e-10)
+            assert c["tau"] == pytest.approx(
+                momentum_coefficient(problem, c["w_next"], c["w_prev"]), rel=1e-10)
+            assert rec.f == pytest.approx(objective(problem, c["w_next"]), rel=1e-10)
+            if solver is solve_aiht_debias:
+                x_support = np.flatnonzero(c["x"])
+                np.testing.assert_allclose(
+                    c["debias_grad"], restrict(gradient(problem, c["x"]), x_support),
+                    rtol=1e-10, atol=1e-10 * np.abs(c["grad"]).max())
+                if c["mu_debias"] is not None:
+                    assert c["mu_debias"] == pytest.approx(
+                        line_search_step(problem, c["debias_grad"]), rel=1e-10)
 
 
 class TestStallTermination:
