@@ -33,6 +33,7 @@ from .models import (
     build_projection,
     full_data_posterior,
     load_csv_dataset,
+    posterior_approximation,
     save_csv_dataset,
     synth_gaussian_dataset,
     synth_glm_dataset,
@@ -177,6 +178,18 @@ def _construct_coreset(cfg: ExperimentConfig, problem, n: int, k: int, trial: in
     return weights, trace, elapsed
 
 
+def _metrics(model: BayesianModel, pi_hat: GaussianDist, weights, map_l2: bool) -> dict:
+    """KL divergences (and MAP distance) between the full-data posterior
+    pi-hat and the coreset posterior, which is fitted here once."""
+    coreset = posterior_approximation(model, weights)
+    fkl = coreset_kl(pi_hat, coreset, "forward")
+    rkl = coreset_kl(pi_hat, coreset, "reverse")
+    metrics = {"fkl": fkl, "rkl": rkl, "skl": fkl + rkl}
+    if map_l2:
+        metrics["map_l2"] = map_l2_distance(pi_hat, coreset)
+    return metrics
+
+
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """All k values for one trial; returns a list of run dicts."""
     runs = []
@@ -185,9 +198,9 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     bad = [k for k in cfg.k_list if k > n]
     if bad:
         raise ValueError(f"k values {bad} exceed data count {n}")
+    pi_hat = full_data_posterior(model)
     problem = None
     if cfg.solver != "uniform":
-        pi_hat = full_data_posterior(model)
         projection = build_projection(model, pi_hat, cfg.s_count, (cfg.seed, trial, 1))
         problem = projection.to_problem()
     for k in cfg.k_list:
@@ -205,13 +218,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
                 elapsed = 0
                 trace = trace.with_zeroed_time() if trace is not None else None
             run["time_ns"] = elapsed
-            run["metrics"] = {
-                "fkl": coreset_kl(model, weights, "forward"),
-                "rkl": coreset_kl(model, weights, "reverse"),
-                "skl": coreset_kl(model, weights, "symmetrized"),
-            }
-            if cfg.map_l2:
-                run["metrics"]["map_l2"] = map_l2_distance(model, weights)
+            run["metrics"] = _metrics(model, pi_hat, weights, cfg.map_l2)
             run["support"] = [int(i) for i in weights.support]
             run["values"] = [float(v) for v in weights.w[weights.support]]
             if trace is not None:
@@ -354,19 +361,21 @@ def _single_k(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def run_evaluate(weights_path, outdir=None) -> dict:
-    """Re-evaluate a build output: rebuild the model, recompute the metrics."""
+    """Re-evaluate a build output: rebuild the model, recompute the metrics.
+
+    Raises ``ValueError`` when the file holds no coreset weights, as the run
+    JSON of a failed sweep run does.
+    """
     payload = json.loads(Path(weights_path).read_text(encoding="utf-8"))
+    if "error" in payload:
+        raise ValueError(f"{weights_path} records a failed run: {payload['error']}")
+    if "support" not in payload or "values" not in payload:
+        raise ValueError(f"{weights_path} has no coreset weights (support and values)")
     cfg = ExperimentConfig.from_dict(payload["config"])
     model = _model_for_trial(cfg, payload["trial"])
     w = np.zeros(model.dataset.n)
     w[np.asarray(payload["support"], dtype=int)] = payload["values"]
-    weights = WeightVector(w)
-    metrics = {
-        "fkl": coreset_kl(model, weights, "forward"),
-        "rkl": coreset_kl(model, weights, "reverse"),
-        "skl": coreset_kl(model, weights, "symmetrized"),
-        "map_l2": map_l2_distance(model, weights),
-    }
+    metrics = _metrics(model, full_data_posterior(model), WeightVector(w), map_l2=True)
     result = {"config": cfg.to_dict(), "seed": payload["seed"],
               "k": payload["k"], "metrics": metrics}
     if outdir is not None:
@@ -468,7 +477,7 @@ def main(argv=None) -> int:
     except EnumerationBudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

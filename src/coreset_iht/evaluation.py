@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .models import BayesianModel, GaussianDist, posterior_approximation
+from .models import GaussianDist
 from .problem import SparseRegressionProblem, WeightVector, _as_weights
 from .solvers import SolverConfig, solve_aiht
 
@@ -53,18 +53,17 @@ def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
     return kl
 
 
-def coreset_kl(model: BayesianModel, weights, direction: str = "reverse",
-               tol: float = 1e-8) -> float:
+def coreset_kl(full: GaussianDist, coreset: GaussianDist,
+               direction: str = "reverse") -> float:
     """Divergence between the full-data posterior and the coreset posterior.
 
-    Posteriors are exact for conjugate kinds and Laplace fits otherwise.
-    ``forward`` is KL(full || coreset), ``reverse`` is KL(coreset || full),
-    ``symmetrized`` their sum.
+    Both are fitted posteriors (``full_data_posterior`` and
+    ``posterior_approximation`` of the coreset weights). ``forward`` is
+    KL(full || coreset), ``reverse`` is KL(coreset || full), ``symmetrized``
+    their sum.
     """
     if direction not in KL_DIRECTIONS:
         raise ValueError(f"direction must be one of {KL_DIRECTIONS}")
-    full = posterior_approximation(model, np.ones(model.dataset.n), tol=tol)
-    coreset = posterior_approximation(model, weights, tol=tol)
     if direction == "forward":
         return gaussian_kl(full, coreset)
     if direction == "reverse":
@@ -72,10 +71,9 @@ def coreset_kl(model: BayesianModel, weights, direction: str = "reverse",
     return gaussian_kl(full, coreset) + gaussian_kl(coreset, full)
 
 
-def map_l2_distance(model: BayesianModel, weights, tol: float = 1e-8) -> float:
-    """l2 distance between the full-data MAP and the coreset MAP."""
-    full = posterior_approximation(model, np.ones(model.dataset.n), tol=tol)
-    coreset = posterior_approximation(model, weights, tol=tol)
+def map_l2_distance(full: GaussianDist, coreset: GaussianDist) -> float:
+    """l2 distance between the full-data MAP and the coreset MAP, the means
+    of the two fitted posteriors."""
     return float(np.linalg.norm(full.mean - coreset.mean))
 
 

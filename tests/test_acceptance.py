@@ -25,6 +25,7 @@ from coreset_iht import (
     make_planted_problem,
     map_l2_distance,
     objective,
+    posterior_approximation,
     project_topk_nonneg,
     solve_aiht,
     solve_aiht_batched,
@@ -221,7 +222,8 @@ def test_criterion_6_scaled_gaussian_experiment():
                 assert float(fs.min()) < float(fs[0])  # best-so-far improves
             w_u = uniform_coreset(100, k, (7, trial, 2, k))
             for name, w in (("aiht", w_a), ("aiht_debias", w_d), ("uniform", w_u)):
-                rkl[name][k].append(coreset_kl(model, w, "reverse"))
+                rkl[name][k].append(coreset_kl(true_posterior,
+                                               posterior_approximation(model, w), "reverse"))
     med = {name: [float(np.median(rkl[name][k])) for k in ks] for name in rkl}
     below = all(med[name][i] < med["uniform"][i]
                 for name in ("aiht", "aiht_debias") for i in range(len(ks)))
@@ -281,8 +283,9 @@ def test_criterion_8_scaled_glm_experiments():
                 w_d, _ = solve_aiht_debias(problem, SolverConfig(k=k))
                 w_u = uniform_coreset(200, k, (9, trial, 2, k))
                 for name, w in (("aiht_debias", w_d), ("uniform", w_u)):
-                    skl[name][k].append(coreset_kl(model, w, "symmetrized"))
-                    mapd[name][k].append(map_l2_distance(model, w))
+                    coreset = posterior_approximation(model, w)
+                    skl[name][k].append(coreset_kl(pi_hat, coreset, "symmetrized"))
+                    mapd[name][k].append(map_l2_distance(pi_hat, coreset))
         med_skl = {name: [float(np.median(skl[name][k])) for k in ks] for name in skl}
         med_map = {name: [float(np.median(mapd[name][k])) for k in ks] for name in mapd}
         summaries[kind] = (

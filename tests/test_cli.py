@@ -2,9 +2,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from coreset_iht import EnumerationBudgetError, load_csv_dataset
+from coreset_iht import EnumerationBudgetError, load_csv_dataset, models
 from coreset_iht.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -120,6 +121,30 @@ class TestSweep:
         _, rows = read_aggregate(result.csv_path)
         assert float(rows[0]["rkl_med"]) > 0
 
+    @pytest.mark.parametrize("solver", ["aiht_debias", "uniform"])
+    @pytest.mark.parametrize("experiment", ["radial_basis", "logistic"])
+    def test_each_posterior_fitted_once(self, tmp_path, monkeypatch, experiment, solver):
+        # One full-data fit (pi-hat) per trial and one coreset fit per
+        # (trial, k) run; the metrics reuse both.
+        fits = {"full": 0, "coreset": 0}
+
+        def counted(fit):
+            def wrapper(model, weights, *args, **kwargs):
+                w = getattr(weights, "w", weights)
+                fits["full" if np.all(np.asarray(w) == 1.0) else "coreset"] += 1
+                return fit(model, weights, *args, **kwargs)
+            return wrapper
+
+        for name in ("conjugate_posterior", "laplace_approximation"):
+            monkeypatch.setattr(models, name, counted(getattr(models, name)))
+        cfg = tiny_config(tmp_path, experiment=experiment, solver=solver, dim=2,
+                          n_data=30, s_count=50, basis_scales=[0.5, 1.0],
+                          per_scale_count=2)
+        result = run_sweep(cfg)
+        assert result.failures == 0
+        trials, ks = cfg.trials, len(cfg.k_list)
+        assert fits == {"full": trials, "coreset": trials * ks}
+
     def test_parallel_trials_match_sequential(self, tmp_path):
         cfg_seq = tiny_config(tmp_path / "seq")
         cfg_par = tiny_config(tmp_path / "par", workers=3)
@@ -160,7 +185,8 @@ class TestDataAndBuild:
         payload = json.loads(Path(build_path).read_text())
         assert payload["k"] == 4 and len(payload["support"]) <= 4
         result = run_evaluate(build_path, outdir=tmp_path)
-        assert result["metrics"]["rkl"] == pytest.approx(payload["metrics"]["rkl"], rel=1e-12)
+        for key in ("fkl", "rkl", "skl", "map_l2"):
+            assert result["metrics"][key] == payload["metrics"][key]
 
 
 class TestMainEntry:
@@ -185,6 +211,34 @@ class TestMainEntry:
                    "--dim", "3", "--n-data", "15", "--outdir", str(tmp_path),
                    "--no-timing"])
         assert rc == 1
+
+    def test_evaluate_missing_weights_file_exits_one(self, tmp_path, capsys):
+        rc = main(["evaluate", "--weights", str(tmp_path / "absent.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_sweep_missing_config_file_exits_one(self, tmp_path, capsys):
+        rc = main(["sweep", "--config", str(tmp_path / "absent.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_evaluate_failed_run_exits_one(self, tmp_path, capsys):
+        # vanilla without --step fails every run; its run JSON has no weights.
+        rc = main(["sweep", "--experiment", "gaussian", "--solver", "vanilla",
+                   "--k", "4", "--trials", "1", "--seed", "0", "--s-count", "80",
+                   "--dim", "3", "--n-data", "15", "--outdir", str(tmp_path),
+                   "--no-timing"])
+        assert rc == 1
+        (failed,) = tmp_path.glob("run_*.json")
+        capsys.readouterr()
+        assert main(["evaluate", "--weights", str(failed)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        payload = json.loads(failed.read_text())
+        del payload["error"]
+        no_weights = tmp_path / "no_weights.json"
+        no_weights.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="no_weights.json"):
+            run_evaluate(no_weights)
 
     def test_csv_uniform_sweep_uses_dataset_size(self, tmp_path, capsys):
         # The uniform baseline once drew weights for the default n_data (100)

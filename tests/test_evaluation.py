@@ -21,10 +21,12 @@ from coreset_iht import (
     coreset_kl,
     decay_rate,
     estimate_rip,
+    full_data_posterior,
     gaussian_kl,
     make_planted_problem,
     map_l2_distance,
     nnls_on_support,
+    posterior_approximation,
     synth_gaussian_dataset,
 )
 
@@ -89,16 +91,18 @@ class TestCoresetKl:
     def test_all_ones_is_zero_everywhere(self):
         model, _ = synth_gaussian_dataset(3, 12, seed=0)
         w = np.ones(12)
+        full, coreset = full_data_posterior(model), posterior_approximation(model, w)
         for direction in ("forward", "reverse", "symmetrized"):
-            assert coreset_kl(model, w, direction) <= 1e-10
+            assert coreset_kl(full, coreset, direction) <= 1e-10
 
     def test_symmetrized_is_sum(self):
         model, _ = synth_gaussian_dataset(3, 12, seed=1)
         w = np.zeros(12)
         w[[1, 5, 7]] = [4.0, 2.0, 6.0]
-        f = coreset_kl(model, w, "forward")
-        r = coreset_kl(model, w, "reverse")
-        s = coreset_kl(model, w, "symmetrized")
+        full, coreset = full_data_posterior(model), posterior_approximation(model, w)
+        f = coreset_kl(full, coreset, "forward")
+        r = coreset_kl(full, coreset, "reverse")
+        s = coreset_kl(full, coreset, "symmetrized")
         assert s == f + r
 
     def test_matches_hand_assembled_conjugate_posteriors(self):
@@ -107,21 +111,24 @@ class TestCoresetKl:
         w[[0, 4]] = [3.0, 7.0]
         full = conjugate_posterior(model, np.ones(10))
         coreset = conjugate_posterior(model, w)
-        assert coreset_kl(model, w, "forward") == pytest.approx(
+        fitted = full_data_posterior(model), posterior_approximation(model, w)
+        assert coreset_kl(*fitted, "forward") == pytest.approx(
             gaussian_kl(full, coreset), rel=1e-12)
-        assert coreset_kl(model, w, "reverse") == pytest.approx(
+        assert coreset_kl(*fitted, "reverse") == pytest.approx(
             gaussian_kl(coreset, full), rel=1e-12)
 
     def test_bad_direction(self):
         model, _ = synth_gaussian_dataset(2, 4, seed=3)
+        full = full_data_posterior(model)
         with pytest.raises(ValueError):
-            coreset_kl(model, np.ones(4), "sideways")
+            coreset_kl(full, full, "sideways")
 
 
 class TestMapDistance:
     def test_all_ones_zero(self):
         model, _ = synth_gaussian_dataset(3, 8, seed=4)
-        assert map_l2_distance(model, np.ones(8)) == 0.0
+        assert map_l2_distance(full_data_posterior(model),
+                               posterior_approximation(model, np.ones(8))) == 0.0
 
     def test_equals_conjugate_mean_distance(self):
         model, _ = synth_gaussian_dataset(3, 8, seed=5)
@@ -130,7 +137,8 @@ class TestMapDistance:
         full = conjugate_posterior(model, np.ones(8))
         coreset = conjugate_posterior(model, w)
         expected = float(np.linalg.norm(full.mean - coreset.mean))
-        assert map_l2_distance(model, w) == pytest.approx(expected, rel=1e-12)
+        assert map_l2_distance(full_data_posterior(model), posterior_approximation(
+            model, w)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestRipConstants:
