@@ -99,6 +99,7 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.experiment == "csv" and not self.csv_path:
             raise ValueError("csv experiment needs csv_path")
+        _solver_config(self, self.k_list[0], 0)  # rejects bad solver settings before any run
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -363,18 +364,31 @@ def _single_k(cfg: ExperimentConfig) -> ExperimentConfig:
 def run_evaluate(weights_path, outdir=None) -> dict:
     """Re-evaluate a build output: rebuild the model, recompute the metrics.
 
-    Raises ``ValueError`` when the file holds no coreset weights, as the run
-    JSON of a failed sweep run does.
+    Raises ``ValueError`` naming the file when it holds no coreset weights, as
+    the run JSON of a failed sweep run does, or weights that do not fit the
+    rebuilt model.
     """
     payload = json.loads(Path(weights_path).read_text(encoding="utf-8"))
     if "error" in payload:
         raise ValueError(f"{weights_path} records a failed run: {payload['error']}")
-    if "support" not in payload or "values" not in payload:
-        raise ValueError(f"{weights_path} has no coreset weights (support and values)")
+    missing = [key for key in ("config", "trial", "seed", "k", "support", "values")
+               if key not in payload]
+    if missing:
+        raise ValueError(f"{weights_path} is not a build output: it lacks {', '.join(missing)}")
+    support, values = payload["support"], payload["values"]
+    if not (isinstance(support, list) and all(type(i) is int for i in support)):
+        raise ValueError(f"{weights_path}: support must be a list of integer indices")
+    if not isinstance(values, list) or len(values) != len(support):
+        raise ValueError(f"{weights_path}: values must be a list as long as support")
     cfg = ExperimentConfig.from_dict(payload["config"])
     model = _model_for_trial(cfg, payload["trial"])
-    w = np.zeros(model.dataset.n)
-    w[np.asarray(payload["support"], dtype=int)] = payload["values"]
+    n = model.dataset.n
+    if not all(0 <= i < n for i in support):
+        raise ValueError(f"{weights_path}: support index out of range [0, {n})")
+    if len(set(support)) != len(support):
+        raise ValueError(f"{weights_path}: support repeats an index")
+    w = np.zeros(n)
+    w[support] = values
     metrics = _metrics(model, full_data_posterior(model), WeightVector(w), map_l2=True)
     result = {"config": cfg.to_dict(), "seed": payload["seed"],
               "k": payload["k"], "metrics": metrics}

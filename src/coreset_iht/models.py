@@ -9,6 +9,12 @@ Four model kinds are supported:
   z_i = [x_i, 1].
 * ``poisson``            -- y_i ~ Poisson(softplus(z_i^T theta)).
 
+``BayesianModel.log_joint`` is the one definition of each kind's posterior
+algebra. The conjugate posterior (gaussian_mean, linear_regression) is one
+Newton step on it from theta = 0, exact because a conjugate log joint is
+quadratic; the Laplace fit (logistic, poisson) runs damped Newton on it to the
+MAP. Neither fit has a tolerance to set.
+
 ``build_projection`` turns a model plus a weighting distribution into the
 finite-dimensional sparse regression problem: column i holds the centered,
 1/sqrt(S)-scaled log-likelihood evaluations of data point i at S posterior
@@ -31,6 +37,8 @@ MODEL_KINDS = ("gaussian_mean", "linear_regression", "logistic", "poisson")
 CONJUGATE_KINDS = ("gaussian_mean", "linear_regression")
 
 COV_SYMMETRY_TOL = 1e-10
+NEWTON_TOL = 1e-8       # gradient inf-norm at which the Laplace fit stops
+MAX_NEWTON = 200        # Newton steps before NewtonConvergenceError
 
 
 class LikelihoodError(ValueError):
@@ -150,6 +158,7 @@ class BayesianModel:
     obs_cov: Optional[np.ndarray] = None
     basis_means: Optional[np.ndarray] = None
     basis_scales: Optional[np.ndarray] = None
+    obs_prec: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -161,7 +170,9 @@ class BayesianModel:
             if obs_cov.shape != (self.dataset.d, self.dataset.d):
                 raise ValueError("obs_cov shape does not match feature dimension")
             np.linalg.cholesky(obs_cov)  # must be positive definite
+            obs_prec = np.linalg.inv(obs_cov)
             object.__setattr__(self, "obs_cov", _frozen_array(obs_cov))
+            object.__setattr__(self, "obs_prec", _frozen_array((obs_prec + obs_prec.T) / 2.0))
         elif self.kind == "linear_regression":
             if self.noise_var is None or not self.noise_var > 0:
                 raise ValueError("linear_regression requires noise_var > 0")
@@ -196,8 +207,7 @@ class BayesianModel:
                 f"theta dimension {thetas.shape[1]} does not match model dimension {self.theta_dim}")
         x, y = self.dataset.x, self.dataset.y
         if self.kind == "gaussian_mean":
-            prec = np.linalg.inv(self.obs_cov)
-            prec = (prec + prec.T) / 2.0
+            prec = self.obs_prec
             _, logdet = np.linalg.slogdet(self.obs_cov)
             norm_const = -0.5 * (x.shape[1] * np.log(2 * np.pi) + logdet)
             xq = np.einsum("nd,nd->n", x @ prec, x)
@@ -232,44 +242,41 @@ class BayesianModel:
     # -- weighted log joint and derivatives ------------------------------
 
     def log_joint(self, theta, weights) -> tuple:
-        """(value, gradient, negative Hessian) of log prior + sum_i w_i L_i."""
+        """(value, gradient, negative Hessian) of log prior + sum_i w_i L_i.
+
+        The weights must be non-negative with one entry per data point.
+        """
         theta = np.asarray(theta, dtype=np.float64)
         w = _as_weights(weights)
         if w.shape != (self.dataset.n,):
             raise ValueError(f"weights have shape {w.shape}, expected ({self.dataset.n},)")
+        if np.any(w < 0):
+            raise ValueError("weights must be non-negative")
         prior_prec = self.prior.precision()
         diff = theta - self.prior.mean
-        value = self.prior.logpdf(theta)
+        value = self.prior.logpdf(theta) + float(w @ self.log_likelihood_matrix(theta[None, :])[0])
         grad = -prior_prec @ diff
         neg_hess = prior_prec.copy()
 
         x, y = self.dataset.x, self.dataset.y
         if self.kind == "gaussian_mean":
-            obs_prec = np.linalg.inv(self.obs_cov)
-            obs_prec = (obs_prec + obs_prec.T) / 2.0
             w_sum = float(w.sum())
-            if self.dataset.n:
-                value += float(w @ self.log_likelihood_matrix(theta[None, :])[0])
-            grad += obs_prec @ (x.T @ w - w_sum * theta)
-            neg_hess += w_sum * obs_prec
+            grad += self.obs_prec @ (x.T @ w - w_sum * theta)
+            neg_hess += w_sum * self.obs_prec
         elif self.kind == "linear_regression":
             resid = y - x @ theta
-            value += float(w @ self.log_likelihood_matrix(theta[None, :])[0]) if self.dataset.n else 0.0
             grad += x.T @ (w * resid) / self.noise_var
             neg_hess += (x.T * w) @ x / self.noise_var
         else:
             z = self.design()
             t = z @ theta
+            s = expit(t)
             if self.kind == "logistic":
-                value += float(w @ (-np.logaddexp(0.0, -y * t)))
-                s = expit(t)
                 grad += z.T @ (w * y * expit(-y * t))
                 neg_hess += (z.T * (w * s * (1.0 - s))) @ z
             else:
                 lam = np.logaddexp(0.0, t)
-                s = expit(t)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    value += float(w @ (y * np.log(lam) - lam - gammaln(y + 1.0)))
                     grad += z.T @ (w * (y * s / lam - s))
                     # -d2L/dt2 = s(1-s) - y (s(1-s) lam - s^2)/lam^2, >= 0 for y >= 0
                     curv = s * (1.0 - s) - y * (s * (1.0 - s) * lam - s * s) / lam ** 2
@@ -340,97 +347,83 @@ def build_projection(model: BayesianModel, pi_hat: GaussianDist, s_count: int,
 
 # -- posteriors -----------------------------------------------------------
 
-def conjugate_posterior(model: BayesianModel, weights) -> GaussianDist:
-    """Closed-form weighted posterior for the two conjugate model kinds."""
-    if model.kind not in CONJUGATE_KINDS:
-        raise ValueError(f"no conjugate posterior for kind {model.kind!r}")
-    w = _as_weights(weights)
-    if w.shape != (model.dataset.n,):
-        raise ValueError(f"weights have shape {w.shape}, expected ({model.dataset.n},)")
-    prior_prec = model.prior.precision()
-    rhs = prior_prec @ model.prior.mean
-    x, y = model.dataset.x, model.dataset.y
-    if model.kind == "gaussian_mean":
-        obs_prec = np.linalg.inv(model.obs_cov)
-        obs_prec = (obs_prec + obs_prec.T) / 2.0
-        prec = prior_prec + float(w.sum()) * obs_prec
-        rhs = rhs + obs_prec @ (x.T @ w)
-    else:
-        prec = prior_prec + (x.T * w) @ x / model.noise_var
-        rhs = rhs + x.T @ (w * y) / model.noise_var
-    chol = np.linalg.cholesky((prec + prec.T) / 2.0)
-    mean = cho_solve((chol, True), rhs)
-    cov = cho_solve((chol, True), np.eye(prec.shape[0]))
+def _cholesky(neg_hess: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(neg_hess)
+    except np.linalg.LinAlgError as exc:
+        raise CurvatureError("negative Hessian of the log joint is not positive definite") from exc
+
+
+def _gaussian_fit(mean: np.ndarray, chol: np.ndarray) -> GaussianDist:
+    """N(mean, H^-1), with ``chol`` the Cholesky factor of the negative Hessian H."""
+    cov = cho_solve((chol, True), np.eye(mean.shape[0]))
     return GaussianDist(mean, (cov + cov.T) / 2.0)
 
 
-def laplace_approximation(model: BayesianModel, weights, tol: float = 1e-8,
-                          max_newton: int = 200) -> GaussianDist:
+def conjugate_posterior(model: BayesianModel, weights) -> GaussianDist:
+    """Exact weighted posterior for the two conjugate model kinds.
+
+    One Newton step on the weighted log joint from theta = 0; the step lands
+    on the posterior mean because a conjugate log joint is quadratic, and
+    its negative Hessian is the posterior precision.
+    """
+    if model.kind not in CONJUGATE_KINDS:
+        raise ValueError(f"no conjugate posterior for kind {model.kind!r}")
+    theta = np.zeros(model.theta_dim)
+    _, grad, neg_hess = model.log_joint(theta, weights)
+    chol = _cholesky(neg_hess)
+    return _gaussian_fit(theta + cho_solve((chol, True), grad), chol)
+
+
+def laplace_approximation(model: BayesianModel, weights) -> GaussianDist:
     """Gaussian fit at the MAP of the weighted log joint.
 
     Damped Newton from the prior mean: full steps, halved up to 30 times,
     accepting only log-joint increases, until the gradient inf-norm drops to
-    ``tol``. Returns N(theta_MAP, H^-1) with H the negative Hessian there.
+    ``NEWTON_TOL`` within ``MAX_NEWTON`` steps. Returns N(theta_MAP, H^-1)
+    with H the negative Hessian there.
     """
-    w = _as_weights(weights)
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
     theta = np.array(model.prior.mean, dtype=np.float64)
-    value, grad, neg_hess = model.log_joint(theta, w)
-    converged = False
-    for _ in range(max_newton):
-        grad_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if grad_norm <= tol:
-            converged = True
+    value, grad, neg_hess = model.log_joint(theta, weights)
+    for newton_step in range(MAX_NEWTON + 1):
+        grad_norm = float(np.max(np.abs(grad)))
+        if grad_norm <= NEWTON_TOL:
+            return _gaussian_fit(theta, _cholesky(neg_hess))
+        if newton_step == MAX_NEWTON:
             break
-        try:
-            chol = np.linalg.cholesky(neg_hess)
-        except np.linalg.LinAlgError as exc:
-            raise CurvatureError("negative Hessian of the log joint is not positive definite") from exc
-        direction = cho_solve((chol, True), grad)
+        direction = cho_solve((_cholesky(neg_hess), True), grad)
         # Near the MAP the true increase of a full Newton step falls below
         # the float resolution of the log joint while the gradient still
         # shrinks quadratically, so a step within evaluation noise is
         # accepted as long as it reduces the gradient norm.
         noise = 64.0 * np.finfo(float).eps * max(1.0, abs(value))
         step = 1.0
-        accepted = False
         for _ in range(30):
             cand = theta + step * direction
-            cand_value, cand_grad, cand_hess = model.log_joint(cand, w)
+            cand_value, cand_grad, cand_hess = model.log_joint(cand, weights)
             if np.isfinite(cand_value) and (
                 cand_value > value
                 or (cand_value >= value - noise
                     and float(np.max(np.abs(cand_grad))) < grad_norm)
             ):
                 theta, value, grad, neg_hess = cand, cand_value, cand_grad, cand_hess
-                accepted = True
                 break
             step /= 2.0
-        if not accepted:
-            raise NewtonConvergenceError(grad_norm)
-    if not converged:
-        grad_norm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if grad_norm > tol:
-            raise NewtonConvergenceError(grad_norm)
-    try:
-        chol = np.linalg.cholesky(neg_hess)
-    except np.linalg.LinAlgError as exc:
-        raise CurvatureError("negative Hessian at the MAP is not positive definite") from exc
-    cov = cho_solve((chol, True), np.eye(theta.shape[0]))
-    return GaussianDist(theta, (cov + cov.T) / 2.0)
+        else:  # no halved step was accepted
+            break
+    raise NewtonConvergenceError(grad_norm)
 
 
-def posterior_approximation(model: BayesianModel, weights, tol: float = 1e-8) -> GaussianDist:
+def posterior_approximation(model: BayesianModel, weights) -> GaussianDist:
     """Weighted posterior: exact for conjugate kinds, Laplace otherwise."""
     if model.kind in CONJUGATE_KINDS:
         return conjugate_posterior(model, weights)
-    return laplace_approximation(model, weights, tol=tol)
+    return laplace_approximation(model, weights)
 
 
-def full_data_posterior(model: BayesianModel, tol: float = 1e-8) -> GaussianDist:
+def full_data_posterior(model: BayesianModel) -> GaussianDist:
     """All-ones posterior; the default weighting distribution pi-hat."""
-    return posterior_approximation(model, np.ones(model.dataset.n), tol=tol)
+    return posterior_approximation(model, np.ones(model.dataset.n))
 
 
 # -- synthetic data generators --------------------------------------------
@@ -438,7 +431,7 @@ def full_data_posterior(model: BayesianModel, tol: float = 1e-8) -> GaussianDist
 def synth_gaussian_dataset(d: int, n: int, seed) -> tuple:
     """Draw theta ~ N(0, I) and x_i ~ N(theta, I); return (model, posterior).
 
-    The returned posterior is the closed-form full-data posterior.
+    The returned posterior is the exact (conjugate) full-data posterior.
     """
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(d)

@@ -34,6 +34,14 @@ def read_aggregate(path):
     return lines[0], rows
 
 
+@pytest.fixture(scope="module")
+def logistic_build(tmp_path_factory):
+    """A logistic N=200 build output with a 5-point coreset."""
+    cfg = tiny_config(tmp_path_factory.mktemp("build"), experiment="logistic", dim=2,
+                      n_data=200, s_count=60, k_list=[5], trials=1)
+    return run_build(cfg)
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = tiny_config("/tmp/x", momentum_formula="halved_argmin", workers=2)
@@ -239,6 +247,38 @@ class TestMainEntry:
         no_weights.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="no_weights.json"):
             run_evaluate(no_weights)
+
+    @pytest.mark.parametrize("flag", ["--batch-fraction=2", "--rel-tol=0", "--max-iters=-3"])
+    def test_bad_solver_setting_rejected_before_any_run(self, tmp_path, capsys, flag):
+        rc = main(["sweep", "--experiment", "gaussian", "--solver", "aiht_batched",
+                   "--k", "4", "--trials", "1", "--seed", "0", "--s-count", "80",
+                   "--dim", "3", "--n-data", "15", "--outdir", str(tmp_path),
+                   "--no-timing", flag])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.glob("run_*.json"))
+
+    @pytest.mark.parametrize("case", ["index_past_end", "negative_index", "fractional_index",
+                                      "duplicate_index", "length_mismatch", "no_trial"])
+    def test_evaluate_malformed_weights_exits_one(self, tmp_path, capsys, logistic_build, case):
+        payload = json.loads(logistic_build.read_text())
+        if case == "index_past_end":
+            payload["support"][0] = 200
+        elif case == "negative_index":
+            payload["support"][0] = -1
+        elif case == "fractional_index":
+            payload["support"][0] += 0.5
+        elif case == "duplicate_index":
+            payload["support"][1] = payload["support"][0]
+        elif case == "length_mismatch":
+            payload["values"].pop()
+        else:
+            del payload["trial"]
+        bad = tmp_path / f"{case}.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["evaluate", "--weights", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{case}.json" in err
 
     def test_csv_uniform_sweep_uses_dataset_size(self, tmp_path, capsys):
         # The uniform baseline once drew weights for the default n_data (100)

@@ -21,6 +21,7 @@ from coreset_iht import (
     synth_glm_dataset,
     synth_radial_basis_model,
 )
+from coreset_iht.models import CONJUGATE_KINDS, MODEL_KINDS
 
 
 def gaussian_mean_model(x, obs_cov=None, prior_var=1.0):
@@ -32,6 +33,21 @@ def gaussian_mean_model(x, obs_cov=None, prior_var=1.0):
         prior=GaussianDist(np.zeros(d), prior_var * np.eye(d)),
         obs_cov=np.eye(d) if obs_cov is None else obs_cov,
     )
+
+
+def small_model(kind, seed=0):
+    """A 12-point model of each kind with a non-trivial prior and likelihood."""
+    rng = np.random.default_rng(seed)
+    if kind in ("logistic", "poisson"):
+        return synth_glm_dataset(kind, 12, d=2, seed=seed)
+    x = rng.standard_normal((12, 3))
+    prior = GaussianDist(rng.standard_normal(3), np.diag(rng.uniform(0.5, 2.0, 3)))
+    if kind == "gaussian_mean":
+        a = rng.standard_normal((3, 3))
+        return BayesianModel(kind=kind, dataset=Dataset(x, np.zeros(12)), prior=prior,
+                             obs_cov=a @ a.T + np.eye(3))
+    return BayesianModel(kind=kind, dataset=Dataset(x, rng.standard_normal(12)),
+                         prior=prior, noise_var=0.7)
 
 
 class TestGaussianDist:
@@ -112,6 +128,45 @@ class TestLogLikelihood:
         model = BayesianModel(kind="poisson", dataset=Dataset([[-800.0]], [3.0]), prior=prior)
         with pytest.raises(LikelihoodError, match="index 0"):
             log_likelihood(model, 0, np.array([1.0, 0.0]))
+
+
+class TestLogJoint:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_derivatives_match_central_differences(self, kind):
+        model = small_model(kind)
+        rng = np.random.default_rng(1)
+        dim = model.theta_dim
+        theta = 0.5 * rng.standard_normal(dim)
+        w = rng.uniform(0.0, 2.0, size=model.dataset.n)
+        w[[2, 7]] = 0.0
+        value, grad, neg_hess = model.log_joint(theta, w)
+
+        def f(t):
+            return model.log_joint(t, w)[0]
+
+        h = 1e-4
+        steps = h * np.eye(dim)
+        fd_grad = np.array([(f(theta + e) - f(theta - e)) / (2 * h) for e in steps])
+        fd_hess = np.array([[(f(theta + a + b) - f(theta + a - b) - f(theta - a + b)
+                              + f(theta - a - b)) / (4 * h * h) for b in steps]
+                            for a in steps])
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-7, atol=1e-8)
+        np.testing.assert_allclose(neg_hess, -fd_hess, rtol=1e-5, atol=1e-5)
+        assert value == pytest.approx(
+            model.prior.logpdf(theta) + float(w @ model.log_likelihood_matrix(theta)[0]),
+            rel=1e-12)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_fit_rejects_negative_weight(self, kind):
+        model = small_model(kind)
+        w = np.ones(model.dataset.n)
+        w[3] = -0.5
+        fits = [laplace_approximation]
+        if kind in CONJUGATE_KINDS:
+            fits.append(conjugate_posterior)
+        for fit in fits:
+            with pytest.raises(ValueError, match="non-negative"):
+                fit(model, w)
 
 
 class TestBuildProjection:
@@ -274,7 +329,7 @@ class TestLaplaceApproximation:
     def test_logistic_map_against_multistart_optimizer(self):
         model = synth_glm_dataset("logistic", 20, seed=2)
         w = np.ones(20)
-        lap = laplace_approximation(model, w, tol=1e-8)
+        lap = laplace_approximation(model, w)
         _, grad, _ = model.log_joint(lap.mean, w)
         assert np.max(np.abs(grad)) <= 1e-8
         rng = np.random.default_rng(8)
@@ -288,7 +343,7 @@ class TestLaplaceApproximation:
     def test_poisson_map_gradient_small(self):
         model = synth_glm_dataset("poisson", 30, seed=3)
         w = np.abs(np.random.default_rng(0).standard_normal(30)) * 2
-        lap = laplace_approximation(model, w, tol=1e-8)
+        lap = laplace_approximation(model, w)
         _, grad, _ = model.log_joint(lap.mean, w)
         assert np.max(np.abs(grad)) <= 1e-8
 
