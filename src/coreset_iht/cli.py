@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -81,7 +80,6 @@ class ExperimentConfig:
     vanilla_step: float = 0.0     # required > 0 only for the vanilla solver
     map_l2: bool = True
     record_timing: bool = True
-    workers: int = 1
     rip_budget: int = 10 ** 6
     near_orthonormal: bool = False
 
@@ -95,8 +93,6 @@ class ExperimentConfig:
             raise ValueError("k_list must contain positive sparsity levels")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.experiment == "csv" and not self.csv_path:
             raise ValueError("csv experiment needs csv_path")
         _solver_config(self, self.k_list[0], 0)  # rejects bad solver settings before any run
@@ -271,18 +267,12 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Construct and evaluate coresets for every (trial, k); write reports.
 
     Per-run JSON files and one aggregate CSV (median and quartile columns
-    per k) land in ``cfg.outdir``. Trials run in parallel when
-    ``cfg.workers`` > 1; per-trial seeds derive from the base seed plus the
-    trial index, and aggregation is deterministic.
+    per k) land in ``cfg.outdir``. Per-trial seeds derive from the base seed
+    plus the trial index, and aggregation is deterministic.
     """
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            per_trial = list(pool.map(lambda t: _run_trial(cfg, t), range(cfg.trials)))
-    else:
-        per_trial = [_run_trial(cfg, t) for t in range(cfg.trials)]
-    runs = [run for trial_runs in per_trial for run in trial_runs]
+    runs = [run for t in range(cfg.trials) for run in _run_trial(cfg, t)]
 
     run_paths = []
     failures = 0
@@ -378,8 +368,9 @@ def run_evaluate(weights_path, outdir=None) -> dict:
     support, values = payload["support"], payload["values"]
     if not (isinstance(support, list) and all(type(i) is int for i in support)):
         raise ValueError(f"{weights_path}: support must be a list of integer indices")
-    if not isinstance(values, list) or len(values) != len(support):
-        raise ValueError(f"{weights_path}: values must be a list as long as support")
+    if not (isinstance(values, list) and len(values) == len(support)
+            and all(type(v) in (int, float) and 0.0 <= v < np.inf for v in values)):
+        raise ValueError(f"{weights_path}: values must be finite non-negative numbers, one per index")
     cfg = ExperimentConfig.from_dict(payload["config"])
     model = _model_for_trial(cfg, payload["trial"])
     n = model.dataset.n
@@ -422,7 +413,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--step", type=float, dest="vanilla_step")
     parser.add_argument("--csv-path", dest="csv_path")
     parser.add_argument("--csv-kind", dest="csv_kind")
-    parser.add_argument("--workers", type=int)
     parser.add_argument("--rip-budget", type=int, dest="rip_budget")
     parser.add_argument("--near-orthonormal", action="store_const", const=True,
                         dest="near_orthonormal")

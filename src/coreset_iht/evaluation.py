@@ -155,23 +155,46 @@ def estimate_rip(problem: SparseRegressionProblem, levels,
 
 # -- brute-force optimum ----------------------------------------------------
 
-def nnls_on_support(phi_cols: np.ndarray, y: np.ndarray, tol: float = 1e-12,
-                    max_iters: int = 200000) -> np.ndarray:
-    """Projected-gradient non-negative least squares on a fixed column set."""
-    gram = phi_cols.T @ phi_cols
-    rhs = phi_cols.T @ y
-    lam_max = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
-    u = np.zeros(phi_cols.shape[1])
-    if lam_max <= 0:
-        return u
-    step = 1.0 / (2.0 * lam_max)
-    for _ in range(max_iters):
-        u_next = np.maximum(u - step * 2.0 * (gram @ u - rhs), 0.0)
-        if np.linalg.norm(u_next - u) <= tol * max(1.0, np.linalg.norm(u_next)):
-            u = u_next
-            break
-        u = u_next
-    return u
+def nnls_on_support(phi_cols: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact non-negative least squares: argmin ||phi_cols u - y|| over u >= 0.
+
+    Lawson-Hanson active set (Solving Least Squares Problems, 1974, ch. 23)
+    on linearly independent passive columns, stopping when no gradient
+    exceeds its rounding level, so the KKT conditions hold to rounding, also
+    on rank-deficient and wide blocks. Each outer step lowers the objective,
+    so a passive set recurs only if rounding made the method cycle; then it
+    raises ``RuntimeError``.
+    """
+    m, k = phi_cols.shape
+    # rounding level of phi_cols^T (y - phi_cols u) at the block's size and scale
+    tol = 10.0 * max(m, k) * np.finfo(float).eps * np.linalg.norm(phi_cols) * np.linalg.norm(y)
+
+    def fit(cols):  # least squares on the masked columns; full rank at numpy's cutoff?
+        sol, _, rank, _ = np.linalg.lstsq(phi_cols[:, cols], y, rcond=None)
+        z = np.zeros(k)
+        z[cols] = sol
+        return z, rank == sol.size
+
+    u, passive, seen = np.zeros(k), np.zeros(k, dtype=bool), set()
+    while (key := passive.tobytes()) not in seen:
+        seen.add(key)
+        grad = phi_cols.T @ (y - phi_cols @ u)
+        for j in sorted(np.flatnonzero(~passive & (grad > tol)), key=lambda i: -grad[i]):
+            z, independent = fit(passive | (np.arange(k) == j))
+            if independent and z[j] > 0:
+                break
+        else:
+            return u
+        passive[j] = True
+        while np.any(z[passive] <= 0):  # each pass zeroes a coordinate of P
+            blocking = np.flatnonzero(passive & (z <= 0))
+            ratios = u[blocking] / (u[blocking] - z[blocking])
+            u = u + ratios.min() * (z - u)
+            u[blocking[np.argmin(ratios)]] = 0.0
+            passive &= u > 0
+            z, _ = fit(passive)
+        u = z
+    raise RuntimeError("active-set NNLS revisited a passive set: rounding made it cycle")
 
 
 def brute_force_optimum(problem: SparseRegressionProblem, k: int,

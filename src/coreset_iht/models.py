@@ -159,6 +159,7 @@ class BayesianModel:
     basis_means: Optional[np.ndarray] = None
     basis_scales: Optional[np.ndarray] = None
     obs_prec: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    prior_prec: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -179,6 +180,7 @@ class BayesianModel:
         if self.prior.dim != self.theta_dim:
             raise ValueError(
                 f"prior dimension {self.prior.dim} does not match parameter dimension {self.theta_dim}")
+        object.__setattr__(self, "prior_prec", _frozen_array(self.prior.precision()))
         if self.basis_means is not None:
             object.__setattr__(self, "basis_means", _frozen_array(self.basis_means))
         if self.basis_scales is not None:
@@ -252,11 +254,10 @@ class BayesianModel:
             raise ValueError(f"weights have shape {w.shape}, expected ({self.dataset.n},)")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
-        prior_prec = self.prior.precision()
         diff = theta - self.prior.mean
         value = self.prior.logpdf(theta) + float(w @ self.log_likelihood_matrix(theta[None, :])[0])
-        grad = -prior_prec @ diff
-        neg_hess = prior_prec.copy()
+        grad = -self.prior_prec @ diff
+        neg_hess = self.prior_prec.copy()
 
         x, y = self.dataset.x, self.dataset.y
         if self.kind == "gaussian_mean":

@@ -350,16 +350,19 @@ def test_criterion_10_per_iteration_cost_scaling():
     t0 = time.perf_counter()
     rng = np.random.default_rng(106)
 
-    def median_iteration_ns(n, k):
-        problem = random_problem(rng, 100, n, y_scale=5.0)
+    def median_iteration_ns(problem, k):
         cfg = SolverConfig(k=k, rel_tol=1e-14, max_iters=40)
         _, trace = solve_aiht(problem, cfg)
         return float(np.median([r.ns for r in trace.records]))
 
-    median_iteration_ns(1000, 5)  # warmup: BLAS/thread initialization
-    t_small_k = median_iteration_ns(5000, 10)
-    t_large_k = median_iteration_ns(5000, 100)
-    t_large_n = median_iteration_ns(10_000, 10)
+    # warmup: BLAS/thread initialization
+    median_iteration_ns(random_problem(rng, 100, 1000, y_scale=5.0), 5)
+    cases = [(random_problem(rng, 100, n, y_scale=5.0), k)
+             for n, k in ((5000, 10), (5000, 100), (10_000, 10))]
+    # The three sizes are timed interleaved over repeats and compared by
+    # medians, so a burst of load from other processes hits them alike.
+    repeats = [[median_iteration_ns(problem, k) for problem, k in cases] for _ in range(5)]
+    t_small_k, t_large_k, t_large_n = np.median(repeats, axis=0)
     k_ratio = t_large_k / t_small_k
     n_ratio = t_large_n / t_small_k
     elapsed = time.perf_counter() - t0

@@ -245,9 +245,39 @@ class TestBruteForceOptimum:
         rng = np.random.default_rng(12)
         phi = rng.standard_normal((12, 4))
         y = rng.standard_normal(12) * 3
-        u = nnls_on_support(phi, y, tol=1e-12)
+        u = nnls_on_support(phi, y)
         ref, _ = scipy_nnls(phi, y)
         np.testing.assert_allclose(u, ref, atol=1e-9)
+
+    def test_nnls_on_support_ill_conditioned_block(self):
+        # Two columns 1e-4 apart: a fixed-step projected gradient stalls far
+        # from the optimum along their difference.
+        rng = np.random.default_rng(13)
+        phi = rng.standard_normal((50, 3))
+        phi[:, 1] = phi[:, 0] + 1e-4 * rng.standard_normal(50)
+        y = phi @ np.array([0.5, 0.5, 1.0])
+        ref, _ = scipy_nnls(phi, y)
+        np.testing.assert_allclose(nnls_on_support(phi, y), ref, atol=1e-9)
+
+    @pytest.mark.parametrize("block", ["duplicate_column", "wide"])
+    def test_nnls_on_support_degenerate_block_meets_kkt(self, block):
+        rng = np.random.default_rng(14)
+        if block == "duplicate_column":
+            phi = rng.standard_normal((12, 5))
+            phi[:, 3] = phi[:, 1]
+            y = phi @ np.array([1.0, 2.0, 0.0, 0.0, 1.0]) + 0.1 * rng.standard_normal(12)
+        else:
+            phi = rng.standard_normal((4, 9))
+            y = 3.0 * rng.standard_normal(4)
+        u = nnls_on_support(phi, y)
+        ref, _ = scipy_nnls(phi, y)
+        f, f_ref = (float(np.sum((phi @ v - y) ** 2)) for v in (u, ref))
+        assert f == pytest.approx(f_ref, rel=1e-12, abs=1e-12 * float(y @ y))
+        grad = phi.T @ (phi @ u - y)
+        tol = 1e-9 * np.linalg.norm(phi) * np.linalg.norm(y)
+        assert np.all(u >= 0)
+        assert np.all(grad[u == 0] >= -tol)
+        np.testing.assert_allclose(grad[u > 0], 0.0, atol=tol)
 
 
 class TestContractionFactor:

@@ -340,6 +340,17 @@ class TestLaplaceApproximation:
                            options={"gtol": 1e-10, "maxiter": 500})
             np.testing.assert_allclose(res.x, lap.mean, atol=1e-6)
 
+    def test_prior_precision_derived_once_per_model(self, monkeypatch):
+        # The prior precision is a Cholesky solve; the model holds it, so the
+        # Newton loop's log_joint calls do not recompute it.
+        model = synth_glm_dataset("logistic", 20, seed=2)
+        calls = []
+        precision = GaussianDist.precision
+        monkeypatch.setattr(GaussianDist, "precision",
+                            lambda self: calls.append(self) or precision(self))
+        laplace_approximation(model, np.ones(20))
+        assert calls == []
+
     def test_poisson_map_gradient_small(self):
         model = synth_glm_dataset("poisson", 30, seed=3)
         w = np.abs(np.random.default_rng(0).standard_normal(30)) * 2

@@ -197,7 +197,7 @@ class TestAiht:
         y = 3.0 * rng.standard_normal(20)
         problem = SparseRegressionProblem(phi, y)
         w, _ = solve_aiht(problem, SolverConfig(k=8, rel_tol=1e-12, max_iters=5000))
-        oracle = nnls_on_support(phi, y, tol=1e-12)
+        oracle = nnls_on_support(phi, y)
         np.testing.assert_allclose(w.w, oracle, atol=1e-6)
         reference, _ = scipy_nnls(phi, y)
         np.testing.assert_allclose(oracle, reference, atol=1e-9)
@@ -282,7 +282,7 @@ class TestAihtDebias:
             problem, SolverConfig(k=2, rel_tol=1e-12, max_iters=50), capture=capture)
         assert set(np.flatnonzero(capture[0]["w_next"]).tolist()) == {2, 7}
         assert len(trace) <= 50
-        u = nnls_on_support(problem.phi[:, [2, 7]], problem.y, tol=1e-12)
+        u = nnls_on_support(problem.phi[:, [2, 7]], problem.y)
         oracle = np.zeros(10)
         oracle[[2, 7]] = u
         np.testing.assert_allclose(w.w, oracle, atol=1e-8)
