@@ -266,8 +266,9 @@ class SweepResult:
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Construct and evaluate coresets for every (trial, k); write reports.
 
-    Per-run JSON files and one aggregate CSV (median and quartile columns
-    per k) land in ``cfg.outdir``. Per-trial seeds derive from the base seed
+    Per-run JSON files (``run_<experiment>_<solver>_k<k>_t<trial>.json``)
+    and one aggregate CSV (median and quartile columns per k) land in
+    ``cfg.outdir``. Per-trial seeds derive from the base seed
     plus the trial index, and aggregation is deterministic.
     """
     outdir = Path(cfg.outdir)
@@ -277,7 +278,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     run_paths = []
     failures = 0
     for run in runs:
-        name = f"run_{cfg.solver}_k{run['k']}_t{run['trial']}.json"
+        name = f"run_{cfg.experiment}_{cfg.solver}_k{run['k']}_t{run['trial']}.json"
         path = outdir / name
         path.write_text(json.dumps(run, sort_keys=True, indent=1) + "\n",
                         encoding="utf-8")

@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .models import GaussianDist
 from .problem import SparseRegressionProblem, WeightVector, _as_weights
@@ -33,15 +32,17 @@ class NegativeKlError(RuntimeError):
 
 
 def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
-    """KL(p || q) between Gaussians, via Cholesky factors.
+    """KL(p || q) between Gaussians, via p's Cholesky factor Lp and the
+    inverse of q's, Lq^-1.
 
-    0.5 * (tr(Sq^-1 Sp) + (mq-mp)^T Sq^-1 (mq-mp) - d + logdet Sq - logdet Sp).
+    0.5 * (tr(Sq^-1 Sp) + (mq-mp)^T Sq^-1 (mq-mp) - d + logdet Sq - logdet Sp),
+    with tr(Sq^-1 Sp) = ||Lq^-1 Lp||_F^2.
     """
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    m = solve_triangular(q.chol, p.chol, lower=True)
+    m = q.chol_inv @ p.chol
     trace = float(np.sum(m * m))
-    u = solve_triangular(q.chol, q.mean - p.mean, lower=True)
+    u = q.chol_inv @ (q.mean - p.mean)
     maha = float(u @ u)
     logdet_q = 2.0 * float(np.sum(np.log(np.diag(q.chol))))
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(p.chol))))

@@ -13,7 +13,9 @@ Four model kinds are supported:
 algebra. The conjugate posterior (gaussian_mean, linear_regression) is one
 Newton step on it from theta = 0, exact because a conjugate log joint is
 quadratic; the Laplace fit (logistic, poisson) runs damped Newton on it to the
-MAP. Neither fit has a tolerance to set.
+MAP. Neither fit has a tolerance to set. ``log_joint`` evaluates the likelihood
+only on the data rows with a positive weight, so a fit on a k-point coreset
+touches k rows, not N.
 
 ``build_projection`` turns a model plus a weighting distribution into the
 finite-dimensional sparse regression problem: column i holds the centered,
@@ -24,12 +26,11 @@ samples.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.special import expit, gammaln
 
 from .problem import SparseRegressionProblem, _as_weights, _frozen_array
 
@@ -57,13 +58,27 @@ class CurvatureError(RuntimeError):
     """Negative Hessian of the log joint is not positive definite."""
 
 
+def _expit(t):
+    """Logistic sigmoid 1 / (1 + e^-t); e^-|t| never overflows."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
+def _tril_inv(chol: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix with a positive diagonal; the
+    dense inverse leaves rounding residue above the diagonal, cleared here."""
+    return np.tril(np.linalg.inv(chol))
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianDist:
-    """Multivariate Gaussian carrying its (lower) Cholesky factor."""
+    """Multivariate Gaussian carrying its (lower) Cholesky factor L of the
+    covariance and that factor's inverse, so cov^-1 = L^-T L^-1."""
 
     mean: np.ndarray
     cov: np.ndarray
     chol: np.ndarray = field(init=False, repr=False)
+    chol_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -84,6 +99,7 @@ class GaussianDist:
         object.__setattr__(self, "mean", _frozen_array(mean))
         object.__setattr__(self, "cov", _frozen_array(cov))
         object.__setattr__(self, "chol", _frozen_array(chol))
+        object.__setattr__(self, "chol_inv", _frozen_array(_tril_inv(chol)))
 
     @property
     def dim(self) -> int:
@@ -96,13 +112,12 @@ class GaussianDist:
 
     def logpdf(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
-        u = solve_triangular(self.chol, x - self.mean, lower=True)
+        u = self.chol_inv @ (x - self.mean)
         logdet = 2.0 * float(np.sum(np.log(np.diag(self.chol))))
         return float(-0.5 * (self.dim * np.log(2 * np.pi) + logdet + u @ u))
 
     def precision(self) -> np.ndarray:
-        eye = np.eye(self.dim)
-        prec = cho_solve((np.asarray(self.chol), True), eye)
+        prec = self.chol_inv.T @ self.chol_inv
         return (prec + prec.T) / 2.0
 
 
@@ -148,7 +163,8 @@ class BayesianModel:
     """A model kind, its data, a Gaussian prior, and kind-specific parameters.
 
     ``basis_means``/``basis_scales`` are metadata for radial-basis regression
-    models; the feature matrix in ``dataset.x`` is already expanded.
+    models; the feature matrix in ``dataset.x`` is already expanded. The
+    prior precision, and for Poisson models log y_i!, are derived once.
     """
 
     kind: str
@@ -160,6 +176,7 @@ class BayesianModel:
     basis_scales: Optional[np.ndarray] = None
     obs_prec: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     prior_prec: np.ndarray = field(init=False, repr=False)
+    log_factorial_y: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -177,6 +194,9 @@ class BayesianModel:
         elif self.kind == "linear_regression":
             if self.noise_var is None or not self.noise_var > 0:
                 raise ValueError("linear_regression requires noise_var > 0")
+        elif self.kind == "poisson":
+            log_fact = [math.lgamma(v + 1.0) for v in self.dataset.y]
+            object.__setattr__(self, "log_factorial_y", _frozen_array(np.array(log_fact)))
         if self.prior.dim != self.theta_dim:
             raise ValueError(
                 f"prior dimension {self.prior.dim} does not match parameter dimension {self.theta_dim}")
@@ -194,7 +214,7 @@ class BayesianModel:
 
     def design(self) -> np.ndarray:
         """GLM design matrix: features with an appended intercept column."""
-        return np.hstack([self.dataset.x, np.ones((self.dataset.n, 1))])
+        return _with_intercept(self.dataset.x)
 
     # -- log likelihoods -------------------------------------------------
 
@@ -207,7 +227,12 @@ class BayesianModel:
         if thetas.shape[1] != self.theta_dim:
             raise ValueError(
                 f"theta dimension {thetas.shape[1]} does not match model dimension {self.theta_dim}")
-        x, y = self.dataset.x, self.dataset.y
+        return self._log_likelihoods(thetas, slice(None))
+
+    def _log_likelihoods(self, thetas: np.ndarray, rows) -> np.ndarray:
+        """``log_likelihood_matrix`` restricted to the data rows ``rows`` (an
+        index array or a slice)."""
+        x, y = self.dataset.x[rows], self.dataset.y[rows]
         if self.kind == "gaussian_mean":
             prec = self.obs_prec
             _, logdet = np.linalg.slogdet(self.obs_cov)
@@ -221,15 +246,14 @@ class BayesianModel:
             preds = thetas @ x.T
             norm_const = -0.5 * np.log(2 * np.pi * self.noise_var)
             return norm_const - (y[None, :] - preds) ** 2 / (2.0 * self.noise_var)
-        z = self.design()
-        t = thetas @ z.T
+        t = thetas @ _with_intercept(x).T
         if self.kind == "logistic":
             return -np.logaddexp(0.0, -y[None, :] * t)
         # poisson: rate softplus(t); an underflowed rate yields a non-finite
         # value that callers turn into LikelihoodError
         lam = np.logaddexp(0.0, t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return y[None, :] * np.log(lam) - lam - gammaln(y + 1.0)[None, :]
+            return y[None, :] * np.log(lam) - lam - self.log_factorial_y[rows][None, :]
 
     def log_likelihood(self, i: int, theta) -> float:
         """L_i(theta) for a single data point; errors on non-finite output."""
@@ -246,7 +270,8 @@ class BayesianModel:
     def log_joint(self, theta, weights) -> tuple:
         """(value, gradient, negative Hessian) of log prior + sum_i w_i L_i.
 
-        The weights must be non-negative with one entry per data point.
+        The weights must be non-negative with one entry per data point; the
+        sum runs over the rows with w_i > 0 only.
         """
         theta = np.asarray(theta, dtype=np.float64)
         w = _as_weights(weights)
@@ -254,12 +279,13 @@ class BayesianModel:
             raise ValueError(f"weights have shape {w.shape}, expected ({self.dataset.n},)")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
+        rows = np.flatnonzero(w)
+        x, y, w = self.dataset.x[rows], self.dataset.y[rows], w[rows]
         diff = theta - self.prior.mean
-        value = self.prior.logpdf(theta) + float(w @ self.log_likelihood_matrix(theta[None, :])[0])
+        value = self.prior.logpdf(theta) + float(w @ self._log_likelihoods(theta[None, :], rows)[0])
         grad = -self.prior_prec @ diff
         neg_hess = self.prior_prec.copy()
 
-        x, y = self.dataset.x, self.dataset.y
         if self.kind == "gaussian_mean":
             w_sum = float(w.sum())
             grad += self.obs_prec @ (x.T @ w - w_sum * theta)
@@ -269,11 +295,11 @@ class BayesianModel:
             grad += x.T @ (w * resid) / self.noise_var
             neg_hess += (x.T * w) @ x / self.noise_var
         else:
-            z = self.design()
+            z = _with_intercept(x)
             t = z @ theta
-            s = expit(t)
+            s = _expit(t)
             if self.kind == "logistic":
-                grad += z.T @ (w * y * expit(-y * t))
+                grad += z.T @ (w * y * _expit(-y * t))
                 neg_hess += (z.T * (w * s * (1.0 - s))) @ z
             else:
                 lam = np.logaddexp(0.0, t)
@@ -283,6 +309,10 @@ class BayesianModel:
                     curv = s * (1.0 - s) - y * (s * (1.0 - s) * lam - s * s) / lam ** 2
                     neg_hess += (z.T * (w * curv)) @ z
         return value, grad, (neg_hess + neg_hess.T) / 2.0
+
+
+def _with_intercept(x: np.ndarray) -> np.ndarray:
+    return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
 def log_likelihood(model: BayesianModel, i: int, theta) -> float:
@@ -348,16 +378,18 @@ def build_projection(model: BayesianModel, pi_hat: GaussianDist, s_count: int,
 
 # -- posteriors -----------------------------------------------------------
 
-def _cholesky(neg_hess: np.ndarray) -> np.ndarray:
+def _inverse_cholesky(neg_hess: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of the negative Hessian H: H^-1 = L^-T L^-1."""
     try:
-        return np.linalg.cholesky(neg_hess)
+        chol = np.linalg.cholesky(neg_hess)
     except np.linalg.LinAlgError as exc:
         raise CurvatureError("negative Hessian of the log joint is not positive definite") from exc
+    return _tril_inv(chol)
 
 
-def _gaussian_fit(mean: np.ndarray, chol: np.ndarray) -> GaussianDist:
-    """N(mean, H^-1), with ``chol`` the Cholesky factor of the negative Hessian H."""
-    cov = cho_solve((chol, True), np.eye(mean.shape[0]))
+def _gaussian_fit(mean: np.ndarray, chol_inv: np.ndarray) -> GaussianDist:
+    """N(mean, H^-1), with ``chol_inv`` from ``_inverse_cholesky(H)``."""
+    cov = chol_inv.T @ chol_inv
     return GaussianDist(mean, (cov + cov.T) / 2.0)
 
 
@@ -372,8 +404,8 @@ def conjugate_posterior(model: BayesianModel, weights) -> GaussianDist:
         raise ValueError(f"no conjugate posterior for kind {model.kind!r}")
     theta = np.zeros(model.theta_dim)
     _, grad, neg_hess = model.log_joint(theta, weights)
-    chol = _cholesky(neg_hess)
-    return _gaussian_fit(theta + cho_solve((chol, True), grad), chol)
+    chol_inv = _inverse_cholesky(neg_hess)
+    return _gaussian_fit(theta + chol_inv.T @ (chol_inv @ grad), chol_inv)
 
 
 def laplace_approximation(model: BayesianModel, weights) -> GaussianDist:
@@ -389,10 +421,11 @@ def laplace_approximation(model: BayesianModel, weights) -> GaussianDist:
     for newton_step in range(MAX_NEWTON + 1):
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= NEWTON_TOL:
-            return _gaussian_fit(theta, _cholesky(neg_hess))
+            return _gaussian_fit(theta, _inverse_cholesky(neg_hess))
         if newton_step == MAX_NEWTON:
             break
-        direction = cho_solve((_cholesky(neg_hess), True), grad)
+        chol_inv = _inverse_cholesky(neg_hess)
+        direction = chol_inv.T @ (chol_inv @ grad)
         # Near the MAP the true increase of a full Newton step falls below
         # the float resolution of the log joint while the gradient still
         # shrinks quadratically, so a step within evaluation noise is
@@ -507,7 +540,7 @@ def synth_glm_dataset(kind: str, n: int, d: Optional[int] = None, seed=0,
     x = rng.standard_normal((n, d))
     t = x @ true_theta[:d] + true_theta[d]
     if kind == "logistic":
-        y = np.where(rng.random(n) < expit(t), 1.0, -1.0)
+        y = np.where(rng.random(n) < _expit(t), 1.0, -1.0)
     else:
         y = rng.poisson(np.logaddexp(0.0, t)).astype(np.float64)
     prior = GaussianDist(np.zeros(d + 1), np.eye(d + 1))

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coreset_iht
 from coreset_iht import EnumerationBudgetError, load_csv_dataset, models
 from coreset_iht.cli import (
     CSV_COLUMNS,
@@ -91,6 +95,19 @@ class TestSweep:
         second = run_sweep(cfg)
         for p in (second.csv_path, *second.run_paths):
             assert p.read_bytes() == blobs[p.name]
+
+    def test_two_experiments_share_an_outdir(self, tmp_path):
+        # Run files are named by experiment too, so a second sweep with the
+        # same solver into the same directory overwrites none of the first's.
+        gauss = run_sweep(tiny_config(tmp_path, k_list=[3], trials=2))
+        logistic = run_sweep(tiny_config(tmp_path, experiment="logistic", dim=2,
+                                         k_list=[3], trials=2))
+        paths = gauss.run_paths + logistic.run_paths
+        assert len(set(paths)) == 4
+        assert sorted(tmp_path.glob("run_*.json")) == sorted(paths)
+        for result, experiment in ((gauss, "gaussian"), (logistic, "logistic")):
+            for p in result.run_paths:
+                assert json.loads(p.read_text())["experiment"] == experiment
 
     def test_median_matches_independent_aggregation(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -302,3 +319,15 @@ class TestMainEntry:
                    "--trials", "1", "--seed", "0", "--s-count", "80",
                    "--outdir", str(tmp_path / "runs"), "--no-timing"])
         assert rc == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # The package runs on numpy alone; scipy is a test-only dependency.
+    src = Path(coreset_iht.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, coreset_iht.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -30,6 +30,8 @@ from coreset_iht import (
     synth_gaussian_dataset,
 )
 
+from conftest import radial_basis_prior_and_posterior
+
 
 class TestGaussianKl:
     def test_identical_inputs(self):
@@ -61,21 +63,31 @@ class TestGaussianKl:
         se = log_ratio.std(ddof=1) / math.sqrt(log_ratio.shape[0])
         assert abs(kl - log_ratio.mean()) <= 3 * se
 
+    def test_matches_triangular_solve_on_radial_basis(self):
+        # d = 301; cond(chol) <= 122 for both, so 1e-12 is about 100 cond(chol) eps
+        from scipy.linalg import solve_triangular
+
+        prior, post = radial_basis_prior_and_posterior()
+        for p, q in ((prior, post), (post, prior)):
+            m = solve_triangular(q.chol, p.chol, lower=True)
+            u = solve_triangular(q.chol, q.mean - p.mean, lower=True)
+            ref = 0.5 * (np.sum(m * m) + u @ u - p.dim + 2.0 * np.sum(np.log(np.diag(q.chol)))
+                         - 2.0 * np.sum(np.log(np.diag(p.chol))))
+            assert gaussian_kl(p, q) == pytest.approx(ref, rel=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             gaussian_kl(GaussianDist([0.0], [[1.0]]),
                         GaussianDist([0.0, 0.0], np.eye(2)))
 
-    def test_strongly_negative_result_raises_typed_error(self, monkeypatch):
-        # KL >= 0 in exact arithmetic, so only a broken triangular solve can
-        # drive it below -1e-9; a solver returning zeros gives -d/2.
-        from coreset_iht import evaluation
-
-        monkeypatch.setattr(evaluation, "solve_triangular",
-                            lambda a, b, lower: np.zeros_like(b))
+    def test_strongly_negative_result_raises_typed_error(self):
+        # KL >= 0 in exact arithmetic, so only a broken inverse Cholesky
+        # factor can drive it below -1e-9; a zero factor gives -d/2.
         d = GaussianDist([0.0, 0.0], np.eye(2))
+        broken = GaussianDist([0.0, 0.0], np.eye(2))
+        object.__setattr__(broken, "chol_inv", np.zeros((2, 2)))
         with pytest.raises(NegativeKlError, match="strongly negative"):
-            gaussian_kl(d, d)
+            gaussian_kl(d, broken)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(2)

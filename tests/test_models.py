@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
+from scipy.special import expit, gammaln
 
 from coreset_iht import (
     BayesianModel,
@@ -21,7 +23,11 @@ from coreset_iht import (
     synth_glm_dataset,
     synth_radial_basis_model,
 )
+from coreset_iht import models
 from coreset_iht.models import CONJUGATE_KINDS, MODEL_KINDS
+from conftest import radial_basis_prior_and_posterior
+
+EPS = np.finfo(float).eps
 
 
 def gaussian_mean_model(x, obs_cov=None, prior_var=1.0):
@@ -70,6 +76,69 @@ class TestGaussianDist:
         draws = dist.sample(np.random.default_rng(0), 200_000)
         np.testing.assert_allclose(draws.mean(axis=0), dist.mean, atol=0.02)
         np.testing.assert_allclose(np.cov(draws.T), dist.cov, atol=0.03)
+
+
+class TestNumpyStandIns:
+    """The numpy expressions that replace scipy, with scipy as the oracle."""
+
+    def test_expit_matches_scipy_without_warnings(self):
+        t = np.concatenate([np.linspace(-1e3, 1e3, 20001),
+                            [-745.2, -709.0, -36.5, -1e-300, 0.0, 1e-300, 36.5, 709.0]])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = models._expit(t)
+        ref = expit(t)
+        normal = ref >= np.finfo(float).tiny
+        np.testing.assert_allclose(got[normal], ref[normal], rtol=4 * EPS, atol=0)
+        # subnormal and underflowed values agree to the subnormal spacing
+        assert np.all(np.abs(got[~normal] - ref[~normal]) <= np.finfo(float).tiny)
+
+    def test_log_factorial_matches_gammaln(self):
+        y = np.arange(0, 10 ** 6 + 1, dtype=float)
+        model = BayesianModel(kind="poisson", dataset=Dataset(np.zeros((y.size, 1)), y),
+                              prior=GaussianDist(np.zeros(2), np.eye(2)))
+        np.testing.assert_allclose(model.log_factorial_y, gammaln(y + 1.0), rtol=8 * EPS, atol=0)
+        assert model.log_factorial_y[0] == model.log_factorial_y[1] == 0.0
+
+    def test_logpdf_matches_triangular_solve(self):
+        # cond(chol) <= 122 for both, so 1e-12 is about 100 cond(chol) eps
+        for dist in radial_basis_prior_and_posterior():
+            rng = np.random.default_rng(4)
+            for x in dist.mean + rng.standard_normal((5, dist.dim)):
+                u = solve_triangular(dist.chol, x - dist.mean, lower=True)
+                ref = -0.5 * (dist.dim * np.log(2 * np.pi)
+                              + 2.0 * np.sum(np.log(np.diag(dist.chol))) + u @ u)
+                assert dist.logpdf(x) == pytest.approx(ref, rel=1e-12)
+            inv_ref = solve_triangular(dist.chol, np.eye(dist.dim), lower=True)
+            np.testing.assert_allclose(dist.chol_inv, inv_ref, rtol=0,
+                                       atol=1e-12 * np.abs(inv_ref).max())
+
+
+def all_rows_log_joint(model, theta, w):
+    """The log joint with every data row in the sums, zero weights included:
+    the per-kind algebra written out, with scipy's expit."""
+    x, y = model.dataset.x, model.dataset.y
+    prec = model.prior.precision()
+    value = model.prior.logpdf(theta) + float(w @ model.log_likelihood_matrix(theta)[0])
+    grad = -prec @ (theta - model.prior.mean)
+    hess = prec.copy()
+    if model.kind == "gaussian_mean":
+        grad += model.obs_prec @ (x.T @ w - w.sum() * theta)
+        hess += w.sum() * model.obs_prec
+    elif model.kind == "linear_regression":
+        grad += x.T @ (w * (y - x @ theta)) / model.noise_var
+        hess += (x.T * w) @ x / model.noise_var
+    else:
+        z = model.design()
+        t = z @ theta
+        s = expit(t)
+        if model.kind == "logistic":
+            grad += z.T @ (w * y * expit(-y * t))
+            hess += (z.T * (w * s * (1.0 - s))) @ z
+        else:
+            lam = np.logaddexp(0.0, t)
+            grad += z.T @ (w * (y * s / lam - s))
+            hess += (z.T * (w * (s * (1.0 - s) - y * (s * (1.0 - s) * lam - s * s) / lam ** 2))) @ z
+    return value, grad, hess
 
 
 class TestModelValidation:
@@ -155,6 +224,20 @@ class TestLogJoint:
         assert value == pytest.approx(
             model.prior.logpdf(theta) + float(w @ model.log_likelihood_matrix(theta)[0]),
             rel=1e-12)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_support_rows_match_all_rows(self, kind):
+        # log_joint sums over the rows with w > 0 only; dropping the zero
+        # terms reorders the sums, so agreement is to rounding.
+        model = small_model(kind, seed=5)
+        rng = np.random.default_rng(6)
+        w = rng.uniform(0.5, 3.0, model.dataset.n)
+        w[::3] = 0.0
+        for theta in 0.5 * rng.standard_normal((3, model.theta_dim)):
+            got = model.log_joint(theta, w)
+            ref = all_rows_log_joint(model, theta, w)
+            for g, r in zip(got, ref):
+                np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_every_fit_rejects_negative_weight(self, kind):
