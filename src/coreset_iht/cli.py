@@ -38,7 +38,7 @@ from .models import (
     synth_glm_dataset,
     synth_radial_basis_model,
 )
-from .problem import WeightVector
+from .problem import SparseRegressionProblem, WeightVector
 from .solvers import (
     SolverConfig,
     solve_aiht,
@@ -200,6 +200,12 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     if cfg.solver != "uniform":
         projection = build_projection(model, pi_hat, cfg.s_count, (cfg.seed, trial, 1))
         problem = projection.to_problem()
+        if problem.s_dim > problem.n:
+            # Exact, not an approximation: y = phi @ 1 lies in range(phi) =
+            # range(Q) for phi = QR, so ||y - phi w|| = ||R 1 - R w|| for
+            # every w. The n x n problem has the same objective, gradient and
+            # line minima, and each product reads n/s_dim as much.
+            problem = SparseRegressionProblem.from_columns(np.linalg.qr(problem.phi, mode="r"))
     for k in cfg.k_list:
         run = {
             "config": cfg.to_dict(),
@@ -333,14 +339,15 @@ def run_gen_data(cfg: ExperimentConfig) -> Path:
 
 
 def run_build(cfg: ExperimentConfig) -> Path:
-    """Construct one coreset (trial 0, first k) and write weights + trace."""
+    """Construct one coreset (trial 0, first k) and write weights + trace to
+    ``build_<experiment>_<solver>_k<k>.json``."""
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     runs = _run_trial(_single_k(cfg), 0)
     run = runs[0]
     if "error" in run:
         raise RuntimeError(run["error"])
-    path = outdir / f"build_{cfg.solver}_k{run['k']}.json"
+    path = outdir / f"build_{cfg.experiment}_{cfg.solver}_k{run['k']}.json"
     path.write_text(json.dumps(run, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     return path
 

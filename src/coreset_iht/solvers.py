@@ -18,8 +18,10 @@ search, the debias step, the momentum coefficient and the objective. Such a
 product multiplies only the gathered columns when they are at most 1/16 of
 the n columns, O(s_dim * k), and reads the whole of ``phi`` otherwise
 (``problem._Columns``). The top-k selections are O(n) partitions. So on a
-wide problem (n >> 16 * 3k) an iteration costs about one gradient, and on a
-tall one (n small) it does the same dense products as the plain formulas.
+wide problem (n >> 16 * 3k) an iteration costs about one gradient. A tall
+problem (s_dim > n) keeps its dense products, but a sweep hands the solver
+the n x n R factor of ``phi`` in its place, which has the same objective for
+every w (``cli._run_trial``), so each product costs O(n^2), not O(s_dim * n).
 
 ``solve_aiht_batched`` swaps the exact gradient for an unbiased two-mask
 stochastic estimator so large problems can run on data batches. Along a

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import coreset_iht
-from coreset_iht import EnumerationBudgetError, load_csv_dataset, models
+from coreset_iht import EnumerationBudgetError, cli, load_csv_dataset, models
 from coreset_iht.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -171,6 +172,85 @@ class TestSweep:
         assert fits == {"full": trials, "coreset": trials * ks}
 
 
+def perfbench_tracing():
+    """``perfbench/tracing.py``, which names the cli calls that ``--trace 1``
+    wraps."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestProblemSeam:
+    """What ``_run_trial`` hands the solver: a tall problem (s_dim > n) is
+    replaced by the one on the n x n R factor of its ``phi``; a wide one is
+    the ``ProjectionSet.to_problem`` problem itself."""
+
+    @staticmethod
+    def record(monkeypatch, solver_name):
+        built, solved = [], []
+        to_problem = models.ProjectionSet.to_problem
+
+        def recording_to_problem(self):
+            built.append(to_problem(self))
+            return built[-1]
+
+        solve = getattr(cli, solver_name)
+
+        def recording_solve(problem, *args, **kwargs):
+            solved.append(problem)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(models.ProjectionSet, "to_problem", recording_to_problem)
+        monkeypatch.setattr(cli, solver_name, recording_solve)
+        return built, solved
+
+    def test_tall_sweep_solves_on_n_rows(self, tmp_path, monkeypatch):
+        built, solved = self.record(monkeypatch, "solve_aiht")
+        cfg = tiny_config(tmp_path)  # S = 100 > n = 20
+        assert run_sweep(cfg).failures == 0
+        assert [p.phi.shape for p in built] == [(100, 20)] * cfg.trials
+        assert [p.phi.shape for p in solved] == [(20, 20)] * (cfg.trials * len(cfg.k_list))
+
+    def test_wide_sweep_solves_the_projection_problem(self, tmp_path, monkeypatch):
+        built, solved = self.record(monkeypatch, "solve_aiht")
+        cfg = tiny_config(tmp_path, experiment="logistic", dim=2, n_data=200, s_count=60)
+        assert run_sweep(cfg).failures == 0
+        assert len(built) == cfg.trials
+        assert all(p.s_dim == cfg.s_count for p in solved)
+        ks = len(cfg.k_list)
+        assert all(solved[i] is built[i // ks] for i in range(len(solved)))
+
+    def test_sweeps_make_the_traced_calls(self, tmp_path, monkeypatch):
+        # perfbench --trace 1 rebinds these cli names and wraps
+        # ProjectionSet.to_problem; a sweep that stopped calling one of them
+        # would silently drop its per-layer numbers.
+        tracing = perfbench_tracing()
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for names in tracing.CLI_CALLS.values():
+            for name in names:
+                monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        monkeypatch.setattr(models.ProjectionSet, "to_problem",
+                            counted("to_problem", models.ProjectionSet.to_problem))
+        for experiment in ("gaussian", "logistic", "radial_basis"):
+            calls.pop("to_problem", None)
+            cfg = tiny_config(tmp_path, experiment=experiment, solver=tracing.SOLVER,
+                              dim=2, n_data=30, s_count=50, basis_scales=[0.5, 1.0],
+                              per_scale_count=2)
+            assert run_sweep(cfg).failures == 0
+            assert calls["to_problem"] == cfg.trials
+        expected = {name for names in tracing.CLI_CALLS.values() for name in names}
+        assert expected <= set(calls)
+
+
 class TestTheoryCheck:
     def test_small_instance_completes(self, tmp_path):
         cfg = tiny_config(tmp_path, n_data=8, k_list=[2], s_count=30, seed=3)
@@ -192,6 +272,15 @@ class TestDataAndBuild:
         path = run_gen_data(cfg)
         ds = load_csv_dataset(path, "logistic")
         assert ds.n == 15 and ds.d == 2
+
+    def test_builds_of_two_experiments_share_an_outdir(self, tmp_path):
+        gauss = run_build(tiny_config(tmp_path, k_list=[5], trials=1))
+        logistic = run_build(tiny_config(tmp_path, experiment="logistic", dim=2,
+                                         k_list=[5], trials=1))
+        assert gauss != logistic
+        assert sorted(tmp_path.glob("build_*.json")) == sorted([gauss, logistic])
+        for path, experiment in ((gauss, "gaussian"), (logistic, "logistic")):
+            assert json.loads(path.read_text())["experiment"] == experiment
 
     def test_build_then_evaluate(self, tmp_path):
         cfg = tiny_config(tmp_path, k_list=[4], trials=1)

@@ -11,14 +11,21 @@ from coreset_iht import (
     Dataset,
     GaussianDist,
     LikelihoodError,
+    SparseRegressionProblem,
     build_projection,
     conjugate_posterior,
+    full_data_posterior,
+    gradient,
     laplace_approximation,
+    line_search_step,
     load_csv_dataset,
     log_likelihood,
+    momentum_coefficient,
     objective,
     posterior_approximation,
+    restrict,
     save_csv_dataset,
+    stochastic_gradient,
     synth_gaussian_dataset,
     synth_glm_dataset,
     synth_radial_basis_model,
@@ -341,6 +348,45 @@ class TestBuildProjection:
         r2 = 1.0 - np.sum((log_d - pred) ** 2) / np.sum((log_d - np.mean(log_d)) ** 2)
         assert r2 >= 0.9
         assert -0.75 <= slope <= -0.25
+
+
+class TestRFactorProblem:
+    """A tall coreset problem (s_dim > n) and the one built on the n x n R
+    factor of its ``phi`` agree for every w, because y = phi @ 1 lies in
+    range(phi) = range(Q): ||y - phi w|| = ||R 1 - R w||. Sweeps rely on it."""
+
+    @staticmethod
+    def assert_close(actual, expected):
+        err = np.linalg.norm(np.subtract(actual, expected))
+        assert err <= 1e-12 * np.linalg.norm(expected), (actual, expected)
+
+    @pytest.mark.parametrize("kind,dim,n,s_count", [
+        ("gaussian", 3, 20, 100), ("gaussian", 20, 100, 2000),
+        ("logistic", 2, 20, 100), ("logistic", 2, 100, 2000)])
+    def test_matches_full_problem(self, kind, dim, n, s_count):
+        if kind == "gaussian":
+            model, _ = synth_gaussian_dataset(dim, n, (7, 0, 0))
+        else:
+            model = synth_glm_dataset(kind, n, dim, (7, 0, 0))
+        full = build_projection(model, full_data_posterior(model), s_count,
+                                (7, 0, 1)).to_problem()
+        small = SparseRegressionProblem.from_columns(np.linalg.qr(full.phi, mode="r"))
+        assert small.phi.shape == (n, n)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            w, w_prev = np.zeros(n), np.zeros(n)
+            w[rng.choice(n, n // 5, replace=False)] = rng.uniform(0.0, 2.0, n // 5)
+            w_prev[rng.choice(n, n // 5, replace=False)] = rng.uniform(0.0, 2.0, n // 5)
+            self.assert_close(objective(small, w), objective(full, w))
+            grad = gradient(full, w)
+            self.assert_close(gradient(small, w), grad)
+            direction = restrict(grad, np.flatnonzero(w))
+            self.assert_close(line_search_step(small, direction),
+                              line_search_step(full, direction))
+            self.assert_close(momentum_coefficient(small, w, w_prev),
+                              momentum_coefficient(full, w, w_prev))
+            self.assert_close(stochastic_gradient(small, w, 1.0, np.random.default_rng(3)),
+                              stochastic_gradient(full, w, 1.0, np.random.default_rng(3)))
 
 
 class TestConjugatePosterior:
