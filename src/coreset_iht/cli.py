@@ -91,11 +91,15 @@ class ExperimentConfig:
         self.k_list = [int(k) for k in self.k_list]
         if not self.k_list or any(k < 1 for k in self.k_list):
             raise ValueError("k_list must contain positive sparsity levels")
+        if len(set(self.k_list)) != len(self.k_list):
+            raise ValueError(f"k_list repeats a sparsity level: {self.k_list}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.experiment == "csv" and not self.csv_path:
             raise ValueError("csv experiment needs csv_path")
         _solver_config(self, self.k_list[0], 0)  # rejects bad solver settings before any run
+        if self.solver == "vanilla" and not self.vanilla_step > 0:
+            raise ValueError("vanilla solver needs vanilla_step > 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -162,8 +166,6 @@ def _construct_coreset(cfg: ExperimentConfig, problem, n: int, k: int, trial: in
     scfg = _solver_config(cfg, k, trial)
     t0 = time.perf_counter_ns()
     if cfg.solver == "vanilla":
-        if not cfg.vanilla_step > 0:
-            raise ValueError("vanilla solver needs vanilla_step > 0")
         weights, trace = solve_vanilla_iht(problem, scfg, cfg.vanilla_step)
     elif cfg.solver == "aiht":
         weights, trace = solve_aiht(problem, scfg)

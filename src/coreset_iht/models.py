@@ -233,27 +233,45 @@ class BayesianModel:
         """``log_likelihood_matrix`` restricted to the data rows ``rows`` (an
         index array or a slice)."""
         x, y = self.dataset.x[rows], self.dataset.y[rows]
+        # Each kind fills one S x N array and finishes it in place; the
+        # in-place ufuncs give the same bits as the out-of-place formulas.
         if self.kind == "gaussian_mean":
             prec = self.obs_prec
             _, logdet = np.linalg.slogdet(self.obs_cov)
             norm_const = -0.5 * (x.shape[1] * np.log(2 * np.pi) + logdet)
             xq = np.einsum("nd,nd->n", x @ prec, x)
             tq = np.einsum("sd,sd->s", thetas @ prec, thetas)
-            cross = thetas @ prec @ x.T
-            quad = xq[None, :] - 2.0 * cross + tq[:, None]
-            return norm_const - 0.5 * quad
+            # norm_const - 0.5 * (xq - 2 cross + tq)
+            out = thetas @ prec @ x.T
+            out *= 2.0
+            np.subtract(xq[None, :], out, out=out)
+            out += tq[:, None]
+            out *= 0.5
+            return np.subtract(norm_const, out, out=out)
         if self.kind == "linear_regression":
-            preds = thetas @ x.T
+            # norm_const - (y - preds)^2 / (2 noise_var)
+            out = thetas @ x.T
             norm_const = -0.5 * np.log(2 * np.pi * self.noise_var)
-            return norm_const - (y[None, :] - preds) ** 2 / (2.0 * self.noise_var)
-        t = thetas @ _with_intercept(x).T
+            np.subtract(y[None, :], out, out=out)
+            np.square(out, out=out)
+            out /= 2.0 * self.noise_var
+            return np.subtract(norm_const, out, out=out)
+        out = thetas @ _with_intercept(x).T
         if self.kind == "logistic":
-            return -np.logaddexp(0.0, -y[None, :] * t)
-        # poisson: rate softplus(t); an underflowed rate yields a non-finite
-        # value that callers turn into LikelihoodError
-        lam = np.logaddexp(0.0, t)
+            # -log(1 + exp(-y t))
+            np.multiply(out, -y[None, :], out=out)
+            np.logaddexp(0.0, out, out=out)
+            return np.negative(out, out=out)
+        # poisson: y log(lam) - lam - log y! with rate lam = softplus(t); an
+        # underflowed rate yields a non-finite value that callers turn into
+        # LikelihoodError
+        lam = np.logaddexp(0.0, out, out=out)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return y[None, :] * np.log(lam) - lam - self.log_factorial_y[rows][None, :]
+            out = np.log(lam)
+            out *= y[None, :]
+            out -= lam
+            out -= self.log_factorial_y[rows][None, :]
+        return out
 
     def log_likelihood(self, i: int, theta) -> float:
         """L_i(theta) for a single data point; errors on non-finite output."""
@@ -321,6 +339,11 @@ def log_likelihood(model: BayesianModel, i: int, theta) -> float:
 
 # -- projection -----------------------------------------------------------
 
+def _max_abs(a: np.ndarray) -> np.ndarray:
+    """max |a| down each column, exactly, without an |a| temporary."""
+    return np.maximum(a.max(axis=0), -a.min(axis=0))
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectionSet:
     """Centered, 1/sqrt(S)-scaled log-likelihood evaluations, one column per
@@ -334,11 +357,11 @@ class ProjectionSet:
         phi = np.asarray(self.phi, dtype=np.float64)
         if phi.ndim != 2 or phi.shape[0] < 2:
             raise ValueError(f"phi must be 2-D with at least 2 rows, got shape {phi.shape}")
-        col_scale = np.max(np.abs(phi), axis=0)
+        col_scale = _max_abs(phi)
         col_mean = np.abs(phi.mean(axis=0))
         if np.any(col_mean > 1e-10 * np.maximum(col_scale, 1e-300)):
             raise ValueError("projection columns are not centered")
-        object.__setattr__(self, "phi", _frozen_array(phi))
+        object.__setattr__(self, "phi", _frozen_array(phi, order="F"))
 
     @property
     def s_count(self) -> int:
@@ -367,13 +390,15 @@ def build_projection(model: BayesianModel, pi_hat: GaussianDist, s_count: int,
         bad = np.argwhere(~np.isfinite(lmat))[0]
         raise LikelihoodError(
             f"non-finite log-likelihood at data index {bad[1]} for sampled theta {bad[0]}")
-    centered = lmat - lmat.mean(axis=0, keepdims=True)
+    # Centred, snapped and scaled in place, so the build holds lmat and the
+    # projection's column-major copy of it, two S x N arrays, at its peak.
+    col_scale = np.maximum(1.0, _max_abs(lmat))
+    lmat -= lmat.mean(axis=0, keepdims=True)
     # A column constant in theta centers to zero exactly; the eps-scale
     # residue left by the mean computation is snapped out.
-    col_scale = np.maximum(1.0, np.max(np.abs(lmat), axis=0))
-    constant = np.max(np.abs(centered), axis=0) <= 16 * np.finfo(float).eps * col_scale
-    centered[:, constant] = 0.0
-    return ProjectionSet(centered / np.sqrt(s_count), pi_hat, seed)
+    lmat[:, _max_abs(lmat) <= 16 * np.finfo(float).eps * col_scale] = 0.0
+    lmat /= np.sqrt(s_count)
+    return ProjectionSet(lmat, pi_hat, seed)
 
 
 # -- posteriors -----------------------------------------------------------

@@ -16,8 +16,8 @@ from typing import Iterable
 import numpy as np
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen_array(values, dtype=np.float64, order="K") -> np.ndarray:
+    out = np.array(values, dtype=dtype, order=order)
     out.setflags(write=False)
     return out
 
@@ -35,7 +35,9 @@ class SparseRegressionProblem:
 
     ``phi`` has shape (s_dim, n): one column per data point, one row per
     posterior sample. ``y`` has length s_dim. Both are stored read-only so
-    instances can be shared across threads.
+    instances can be shared across threads. ``phi`` keeps the memory layout
+    of its input: a column-major ``ProjectionSet.phi`` gives a column-major
+    problem, and a C-order array a C-order one.
     """
 
     phi: np.ndarray
@@ -118,11 +120,16 @@ class _Columns:
     """The columns ``idx`` of ``phi``, for products with vectors that are zero
     outside ``idx`` and for the coordinates ``idx`` of transposed products.
 
-    A column gather from the C-order ``phi`` costs about 20x a streamed BLAS
-    read per element, so the columns are gathered, once, only while ``idx``
-    is at most 1/16 of the n columns (measured crossovers fell at 3-10% of
-    n); a product then costs O(s_dim * |idx|). Otherwise every product reads
-    the whole of ``phi``, exactly as the dense expression would.
+    The columns are gathered, once, only while ``idx`` is at most 1/8 of the
+    n columns; a product then costs O(s_dim * |idx|). Otherwise every product
+    reads the whole of ``phi``, exactly as the dense expression would. The
+    crossover is measured on a column-major ``phi``, the layout of a
+    projection's problem, where each gathered column is one contiguous copy.
+    On a 2-vCPU machine, gathering 625 of 5000 columns (1/8) of a 500-row
+    ``phi`` and multiplying took 330 us against 480 us for a dense product;
+    with 1000 columns, 125 took 23 us against 80 us, and 300 took 89 us.
+    From a C-order ``phi`` the same gathers cost 3-8x more; the products are
+    the same.
     """
 
     __slots__ = ("phi", "idx", "cols")
@@ -130,7 +137,7 @@ class _Columns:
     def __init__(self, phi: np.ndarray, idx: np.ndarray):
         self.phi = phi
         self.idx = idx
-        self.cols = phi[:, idx] if 16 * idx.shape[0] <= phi.shape[1] else None
+        self.cols = phi[:, idx] if 8 * idx.shape[0] <= phi.shape[1] else None
 
     def image(self, v: np.ndarray) -> np.ndarray:
         """``phi @ v`` for a ``v`` that is zero outside ``idx``."""

@@ -15,13 +15,15 @@ reads the whole of ``phi`` for one product, ``phi.T @ r`` in the gradient.
 Every other product is with a vector of at most 3k nonzeros: the image of
 the momentum iterate z (at most 2k nonzeros) inside the gradient, the line
 search, the debias step, the momentum coefficient and the objective. Such a
-product multiplies only the gathered columns when they are at most 1/16 of
+product multiplies only the gathered columns when they are at most 1/8 of
 the n columns, O(s_dim * k), and reads the whole of ``phi`` otherwise
-(``problem._Columns``). The top-k selections are O(n) partitions. So on a
-wide problem (n >> 16 * 3k) an iteration costs about one gradient. A tall
-problem (s_dim > n) keeps its dense products, but a sweep hands the solver
-the n x n R factor of ``phi`` in its place, which has the same objective for
-every w (``cli._run_trial``), so each product costs O(n^2), not O(s_dim * n).
+(``problem._Columns``); a projection's ``phi`` is column-major, so each
+gathered column is one contiguous copy. The top-k selections are O(n)
+partitions. So on a wide problem (n >> 8 * 3k) an iteration costs about one
+gradient. A tall problem (s_dim > n) keeps its dense products, but a sweep
+hands the solver the n x n R factor of ``phi`` in its place, which has the
+same objective for every w (``cli._run_trial``), so each product costs
+O(n^2), not O(s_dim * n).
 
 ``solve_aiht_batched`` swaps the exact gradient for an unbiased two-mask
 stochastic estimator so large problems can run on data batches. Along a
@@ -252,7 +254,7 @@ def stochastic_gradient(problem: SparseRegressionProblem, weights,
     selected ones by n/B, one applied to ``w`` inside the residual and one to
     the output coordinates. Expectation over the draws equals the gradient.
     Only the B output coordinates are computed, so for a batch of at most
-    n/16 and a sparse ``w`` the cost is O(s_dim * B) rather than
+    n/8 and a sparse ``w`` the cost is O(s_dim * B) rather than
     O(s_dim * n).
     """
     if not 0 < batch_fraction <= 1:

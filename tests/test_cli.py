@@ -132,7 +132,7 @@ class TestSweep:
             assert "seed" in payload
 
     def test_failures_recorded_and_sweep_continues(self, tmp_path):
-        cfg = tiny_config(tmp_path, solver="vanilla")  # vanilla_step unset
+        cfg = tiny_config(tmp_path, solver="vanilla", vanilla_step=1e12)  # diverges
         result = run_sweep(cfg)
         assert result.failures == len(result.run_paths) == 6
         for p in result.run_paths:
@@ -312,7 +312,7 @@ class TestMainEntry:
         rc = main(["sweep", "--experiment", "gaussian", "--solver", "vanilla",
                    "--k", "4", "--trials", "1", "--seed", "0", "--s-count", "80",
                    "--dim", "3", "--n-data", "15", "--outdir", str(tmp_path),
-                   "--no-timing"])
+                   "--no-timing", "--step", "1e12"])
         assert rc == 1
 
     def test_evaluate_missing_weights_file_exits_one(self, tmp_path, capsys):
@@ -326,11 +326,12 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_evaluate_failed_run_exits_one(self, tmp_path, capsys):
-        # vanilla without --step fails every run; its run JSON has no weights.
+        # vanilla with a huge --step diverges in every run; its run JSON has
+        # no weights.
         rc = main(["sweep", "--experiment", "gaussian", "--solver", "vanilla",
                    "--k", "4", "--trials", "1", "--seed", "0", "--s-count", "80",
                    "--dim", "3", "--n-data", "15", "--outdir", str(tmp_path),
-                   "--no-timing"])
+                   "--no-timing", "--step", "1e12"])
         assert rc == 1
         (failed,) = tmp_path.glob("run_*.json")
         capsys.readouterr()
@@ -352,6 +353,26 @@ class TestMainEntry:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.glob("run_*.json"))
+
+    @pytest.mark.parametrize("step", [None, "nan", "0", "-1"])
+    def test_vanilla_without_a_step_rejected_before_any_run(self, tmp_path, capsys, step):
+        outdir = tmp_path / "out"
+        argv = ["sweep", "--experiment", "gaussian", "--solver", "vanilla",
+                "--k", "4", "--trials", "1", "--seed", "0", "--s-count", "80",
+                "--dim", "3", "--n-data", "15", "--outdir", str(outdir), "--no-timing"]
+        rc = main(argv + ([] if step is None else ["--step", step]))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: vanilla solver needs vanilla_step")
+        assert not outdir.exists()
+
+    def test_repeated_sparsity_level_rejected_before_any_run(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        rc = main(["sweep", "--experiment", "gaussian", "--solver", "aiht",
+                   "--k", "3,3", "--trials", "2", "--seed", "0", "--s-count", "80",
+                   "--dim", "3", "--n-data", "15", "--outdir", str(outdir), "--no-timing"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: k_list repeats a sparsity level")
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("case", ["index_past_end", "negative_index", "fractional_index",
                                       "duplicate_index", "length_mismatch", "no_trial",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,90 @@ class TestBuildProjection:
         r2 = 1.0 - np.sum((log_d - pred) ** 2) / np.sum((log_d - np.mean(log_d)) ** 2)
         assert r2 >= 0.9
         assert -0.75 <= slope <= -0.25
+
+
+def reference_log_likelihoods(model, thetas):
+    """The out-of-place likelihood formulas: a new S x N array per operation."""
+    x, y = model.dataset.x, model.dataset.y
+    if model.kind == "gaussian_mean":
+        prec = model.obs_prec
+        _, logdet = np.linalg.slogdet(model.obs_cov)
+        norm_const = -0.5 * (x.shape[1] * np.log(2 * np.pi) + logdet)
+        xq = np.einsum("nd,nd->n", x @ prec, x)
+        tq = np.einsum("sd,sd->s", thetas @ prec, thetas)
+        cross = thetas @ prec @ x.T
+        return norm_const - 0.5 * (xq[None, :] - 2.0 * cross + tq[:, None])
+    if model.kind == "linear_regression":
+        norm_const = -0.5 * np.log(2 * np.pi * model.noise_var)
+        return norm_const - (y[None, :] - thetas @ x.T) ** 2 / (2.0 * model.noise_var)
+    t = thetas @ np.hstack([x, np.ones((x.shape[0], 1))]).T
+    if model.kind == "logistic":
+        return -np.logaddexp(0.0, -y[None, :] * t)
+    lam = np.logaddexp(0.0, t)
+    return y[None, :] * np.log(lam) - lam - model.log_factorial_y[None, :]
+
+
+def reference_projection(model, pi_hat, s_count, seed):
+    """``build_projection`` written out of place, with |x| temporaries."""
+    thetas = pi_hat.sample(np.random.default_rng(seed), s_count)
+    lmat = reference_log_likelihoods(model, thetas)
+    centered = lmat - lmat.mean(axis=0, keepdims=True)
+    col_scale = np.maximum(1.0, np.max(np.abs(lmat), axis=0))
+    constant = np.max(np.abs(centered), axis=0) <= 16 * EPS * col_scale
+    centered[:, constant] = 0.0
+    return centered / np.sqrt(s_count)
+
+
+def projection_model(kind):
+    """A 300-point model of each kind."""
+    if kind in ("logistic", "poisson"):
+        return synth_glm_dataset(kind, 300, d=2, seed=5)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((300, 3))
+    prior = GaussianDist(np.zeros(3), np.eye(3))
+    if kind == "gaussian_mean":
+        return BayesianModel(kind=kind, dataset=Dataset(x, np.zeros(300)), prior=prior,
+                             obs_cov=np.diag([0.5, 1.0, 2.0]))
+    return BayesianModel(kind=kind, dataset=Dataset(x, rng.standard_normal(300)),
+                         prior=prior, noise_var=0.7)
+
+
+class TestProjectionInPlace:
+    """``build_projection`` fills one S x N array and centres, snaps and
+    scales it in place; ``ProjectionSet`` keeps a column-major copy."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_matches_out_of_place_formula_bit_for_bit(self, kind):
+        model = projection_model(kind)
+        pi_hat = full_data_posterior(model)
+        phi = build_projection(model, pi_hat, 400, (5, 0, 1)).phi
+        expected = reference_projection(model, pi_hat, 400, (5, 0, 1))
+        assert phi.shape == expected.shape
+        bits = np.ascontiguousarray(phi).view(np.int64)
+        assert np.array_equal(bits, expected.view(np.int64))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_peak_memory_is_two_phi(self, kind):
+        # The likelihood matrix and the projection's copy of it; the
+        # out-of-place formulas held four S x N arrays at once.
+        model = projection_model(kind)
+        pi_hat = full_data_posterior(model)
+        tracemalloc.start()
+        try:
+            phi = build_projection(model, pi_hat, 400, (5, 0, 1)).phi
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * phi.nbytes
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_phi_and_problem_are_column_major(self, kind):
+        model = projection_model(kind)
+        proj = build_projection(model, full_data_posterior(model), 50, (5, 0, 1))
+        assert proj.phi.flags.f_contiguous and not proj.phi.flags.writeable
+        problem = proj.to_problem()
+        assert problem.phi.flags.f_contiguous
+        assert np.array_equal(problem.phi, proj.phi)
 
 
 class TestRFactorProblem:

@@ -14,6 +14,7 @@ from coreset_iht import (
     project_topk_nonneg,
     restrict,
 )
+from coreset_iht.problem import _Columns
 from conftest import random_problem
 
 
@@ -56,6 +57,33 @@ class TestTypes:
         assert w.support.tolist() == [1, 3]
         assert w.sparsity == 2
         assert len(w) == 4
+
+
+class TestLayout:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_problem_keeps_input_layout(self, order):
+        phi = np.asarray(np.random.default_rng(0).standard_normal((6, 9)), order=order)
+        problem = SparseRegressionProblem(phi, np.ones(6))
+        assert problem.phi.flags.c_contiguous == (order == "C")
+        assert problem.phi.flags.f_contiguous == (order == "F")
+        assert np.array_equal(problem.phi, phi)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("count,gathered", [(1, True), (50, True), (51, False), (400, False)])
+    def test_columns_products_match_dense(self, order, count, gathered):
+        # 1/8 of the 400 columns are gathered; past that, products read all
+        # of phi. Both give the dense result on either layout.
+        rng = np.random.default_rng(count)
+        phi = np.asarray(rng.standard_normal((30, 400)), order=order)
+        idx = np.sort(rng.choice(400, count, replace=False))
+        v = np.zeros(400)
+        v[idx] = rng.standard_normal(count)
+        r = rng.standard_normal(30)
+        cols = _Columns(phi, idx)
+        assert (cols.cols is not None) == gathered
+        image, grad = phi @ v, -2.0 * (phi.T @ r)[idx]
+        assert np.linalg.norm(cols.image(v) - image) <= 1e-12 * np.linalg.norm(image)
+        assert np.linalg.norm(cols.gradient(r) - grad) <= 1e-12 * np.linalg.norm(grad)
 
 
 class TestObjective:
