@@ -40,6 +40,7 @@ from .models import (
 )
 from .problem import SparseRegressionProblem, WeightVector
 from .solvers import (
+    MOMENTUM_FORMULAS,
     SolverConfig,
     solve_aiht,
     solve_aiht_batched,
@@ -56,20 +57,30 @@ CSV_COLUMNS = ("experiment", "solver", "k", "trial_count",
                "skl_med", "map_l2_med", "time_ns_med")
 
 
+# The JSON values each ExperimentConfig annotation takes; a bool is not an int.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _has_json_type(value, annotation: str) -> bool:
+    if annotation.startswith("list["):
+        return type(value) is list and all(_has_json_type(v, annotation[5:-1]) for v in value)
+    return type(value) in _JSON_TYPES[annotation]
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: model family, solver, sparsity sweep, reporting knobs."""
 
     experiment: str = "gaussian"
     solver: str = "aiht"
-    k_list: list = field(default_factory=lambda: [10])
+    k_list: list[int] = field(default_factory=lambda: [10])
     trials: int = 1
     seed: int = 0
     s_count: int = 500
     outdir: str = "runs"
     dim: int = 2
     n_data: int = 100
-    basis_scales: list = field(default_factory=lambda: [0.2, 0.4, 0.8, 1.2, 1.6, 2.0])
+    basis_scales: list[float] = field(default_factory=lambda: [0.2, 0.4, 0.8, 1.2, 1.6, 2.0])
     per_scale_count: int = 50
     csv_path: str = ""
     csv_kind: str = ""
@@ -78,7 +89,6 @@ class ExperimentConfig:
     momentum_formula: str = "exact_argmin"
     batch_fraction: float = 0.2
     vanilla_step: float = 0.0     # required > 0 only for the vanilla solver
-    map_l2: bool = True
     record_timing: bool = True
     rip_budget: int = 10 ** 6
     near_orthonormal: bool = False
@@ -88,7 +98,6 @@ class ExperimentConfig:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
-        self.k_list = [int(k) for k in self.k_list]
         if not self.k_list or any(k < 1 for k in self.k_list):
             raise ValueError("k_list must contain positive sparsity levels")
         if len(set(self.k_list)) != len(self.k_list):
@@ -106,10 +115,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
+        """Config from parsed JSON; a value of the wrong JSON type is refused
+        rather than converted."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(payload).__name__}")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(payload) - set(types)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in payload.items():
+            if not _has_json_type(value, types[name]):
+                raise ValueError(f"config field {name} must be {types[name]}, got {value!r}")
         return cls(**payload)
 
     def to_json(self) -> str:
@@ -177,16 +193,14 @@ def _construct_coreset(cfg: ExperimentConfig, problem, n: int, k: int, trial: in
     return weights, trace, elapsed
 
 
-def _metrics(model: BayesianModel, pi_hat: GaussianDist, weights, map_l2: bool) -> dict:
-    """KL divergences (and MAP distance) between the full-data posterior
+def _metrics(model: BayesianModel, pi_hat: GaussianDist, weights) -> dict:
+    """KL divergences and MAP distance between the full-data posterior
     pi-hat and the coreset posterior, which is fitted here once."""
     coreset = posterior_approximation(model, weights)
     fkl = coreset_kl(pi_hat, coreset, "forward")
     rkl = coreset_kl(pi_hat, coreset, "reverse")
-    metrics = {"fkl": fkl, "rkl": rkl, "skl": fkl + rkl}
-    if map_l2:
-        metrics["map_l2"] = map_l2_distance(pi_hat, coreset)
-    return metrics
+    return {"fkl": fkl, "rkl": rkl, "skl": fkl + rkl,
+            "map_l2": map_l2_distance(pi_hat, coreset)}
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
@@ -223,13 +237,13 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
                 elapsed = 0
                 trace = trace.with_zeroed_time() if trace is not None else None
             run["time_ns"] = elapsed
-            run["metrics"] = _metrics(model, pi_hat, weights, cfg.map_l2)
+            run["metrics"] = _metrics(model, pi_hat, weights)
             run["support"] = [int(i) for i in weights.support]
             run["values"] = [float(v) for v in weights.w[weights.support]]
             if trace is not None:
                 run["termination"] = trace.termination.value
                 run["objective"] = trace.records[-1].f if trace.records else None
-                run["trace"] = json.loads(trace.to_json())
+                run["trace"] = trace.to_dict()
         except Exception as exc:  # per-run failures recorded, sweep continues
             run["error"] = f"{type(exc).__name__}: {exc}"
         runs.append(run)
@@ -245,19 +259,15 @@ def _aggregate(cfg: ExperimentConfig, runs: list) -> str:
             fkl = [r["metrics"]["fkl"] for r in good]
             rkl = [r["metrics"]["rkl"] for r in good]
             skl = [r["metrics"]["skl"] for r in good]
+            map_l2 = [r["metrics"]["map_l2"] for r in good]
             times = [r["time_ns"] for r in good]
             cells = [cfg.experiment, cfg.solver, str(k), str(len(good)),
                      repr(float(np.median(fkl))), repr(float(np.percentile(fkl, 25))),
                      repr(float(np.percentile(fkl, 75))),
                      repr(float(np.median(rkl))), repr(float(np.percentile(rkl, 25))),
                      repr(float(np.percentile(rkl, 75))),
-                     repr(float(np.median(skl)))]
-            if cfg.map_l2:
-                map_l2 = [r["metrics"]["map_l2"] for r in good]
-                cells.append(repr(float(np.median(map_l2))))
-            else:
-                cells.append("")
-            cells.append(repr(float(np.median(times))))
+                     repr(float(np.median(skl))), repr(float(np.median(map_l2))),
+                     repr(float(np.median(times)))]
         else:
             cells = [cfg.experiment, cfg.solver, str(k), "0"] + [""] * 9
         lines.append(",".join(cells))
@@ -382,7 +392,10 @@ def run_evaluate(weights_path, outdir=None) -> dict:
             and all(type(v) in (int, float) and 0.0 <= v < np.inf for v in values)):
         raise ValueError(f"{weights_path}: values must be finite non-negative numbers, one per index")
     cfg = ExperimentConfig.from_dict(payload["config"])
-    model = _model_for_trial(cfg, payload["trial"])
+    trial = payload["trial"]
+    if not (type(trial) is int and 0 <= trial < cfg.trials):
+        raise ValueError(f"{weights_path}: trial must be an integer in [0, {cfg.trials})")
+    model = _model_for_trial(cfg, trial)
     n = model.dataset.n
     if not all(0 <= i < n for i in support):
         raise ValueError(f"{weights_path}: support index out of range [0, {n})")
@@ -390,7 +403,7 @@ def run_evaluate(weights_path, outdir=None) -> dict:
         raise ValueError(f"{weights_path}: support repeats an index")
     w = np.zeros(n)
     w[support] = values
-    metrics = _metrics(model, full_data_posterior(model), WeightVector(w), map_l2=True)
+    metrics = _metrics(model, full_data_posterior(model), WeightVector(w))
     result = {"config": cfg.to_dict(), "seed": payload["seed"],
               "k": payload["k"], "metrics": metrics}
     if outdir is not None:
@@ -417,8 +430,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outdir")
     parser.add_argument("--rel-tol", type=float, dest="rel_tol")
     parser.add_argument("--max-iters", type=int, dest="max_iters")
-    parser.add_argument("--momentum", choices=("exact_argmin", "halved_argmin"),
-                        dest="momentum_formula")
+    parser.add_argument("--momentum", choices=MOMENTUM_FORMULAS, dest="momentum_formula")
     parser.add_argument("--batch-fraction", type=float, dest="batch_fraction")
     parser.add_argument("--step", type=float, dest="vanilla_step")
     parser.add_argument("--csv-path", dest="csv_path")
@@ -426,17 +438,15 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rip-budget", type=int, dest="rip_budget")
     parser.add_argument("--near-orthonormal", action="store_const", const=True,
                         dest="near_orthonormal")
-    parser.add_argument("--no-map-l2", action="store_const", const=False,
-                        dest="map_l2")
     parser.add_argument("--no-timing", action="store_const", const=False,
                         dest="record_timing")
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Precedence: flags > config file > dataclass defaults."""
-    payload = {}
-    if args.config:
-        payload.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+    payload = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    if not isinstance(payload, dict):
+        raise ValueError(f"{args.config}: a config must be a JSON object")
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name, None)
         if value is not None:

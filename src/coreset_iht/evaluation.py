@@ -356,12 +356,11 @@ def check_iterative_invariant(problem: SparseRegressionProblem, cfg: SolverConfi
 # -- synthetic instances for the theory machinery ----------------------------
 
 def make_planted_problem(n: int, s_dim: int, k: int, seed,
-                         near_orthonormal: bool = False,
-                         perturbation: float = 0.003):
+                         near_orthonormal: bool = False):
     """Random instance with a planted non-negative k-sparse solution.
 
     Gaussian phi by default; with ``near_orthonormal`` the columns are an
-    orthonormal frame plus a small Gaussian perturbation, which keeps the
+    orthonormal frame plus an N(0, 0.003^2) perturbation, which keeps the
     isometry constants tight enough for the linear-rate regime. Returns
     (problem, planted weights); the target is phi @ w so the optimal residual
     is zero.
@@ -373,7 +372,7 @@ def make_planted_problem(n: int, s_dim: int, k: int, seed,
         if s_dim < n:
             raise ValueError("near-orthonormal instances need s_dim >= n")
         q, _ = np.linalg.qr(rng.standard_normal((s_dim, n)))
-        phi = q + perturbation * rng.standard_normal((s_dim, n))
+        phi = q + 0.003 * rng.standard_normal((s_dim, n))
     else:
         phi = rng.standard_normal((s_dim, n))
     support = rng.choice(n, size=k, replace=False)

@@ -49,8 +49,8 @@ class LikelihoodError(ValueError):
 class NewtonConvergenceError(RuntimeError):
     """MAP search failed to reach the gradient tolerance."""
 
-    def __init__(self, grad_norm: float, message: str = ""):
-        super().__init__(message or f"Newton did not converge; final gradient inf-norm {grad_norm:.3e}")
+    def __init__(self, grad_norm: float):
+        super().__init__(f"Newton did not converge; final gradient inf-norm {grad_norm:.3e}")
         self.grad_norm = grad_norm
 
 
@@ -333,10 +333,6 @@ def _with_intercept(x: np.ndarray) -> np.ndarray:
     return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
-def log_likelihood(model: BayesianModel, i: int, theta) -> float:
-    return model.log_likelihood(i, theta)
-
-
 # -- projection -----------------------------------------------------------
 
 def _max_abs(a: np.ndarray) -> np.ndarray:
@@ -347,11 +343,9 @@ def _max_abs(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ProjectionSet:
     """Centered, 1/sqrt(S)-scaled log-likelihood evaluations, one column per
-    data point, plus the weighting distribution and seed that produced them."""
+    data point."""
 
     phi: np.ndarray
-    weighting_dist: GaussianDist
-    rng_seed: object
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=np.float64)
@@ -392,13 +386,13 @@ def build_projection(model: BayesianModel, pi_hat: GaussianDist, s_count: int,
             f"non-finite log-likelihood at data index {bad[1]} for sampled theta {bad[0]}")
     # Centred, snapped and scaled in place, so the build holds lmat and the
     # projection's column-major copy of it, two S x N arrays, at its peak.
-    col_scale = np.maximum(1.0, _max_abs(lmat))
+    constant = lmat.max(axis=0) == lmat.min(axis=0)
     lmat -= lmat.mean(axis=0, keepdims=True)
-    # A column constant in theta centers to zero exactly; the eps-scale
-    # residue left by the mean computation is snapped out.
-    lmat[:, _max_abs(lmat) <= 16 * np.finfo(float).eps * col_scale] = 0.0
+    # A column constant in theta centers to zero exactly; the mean of equal
+    # values can round away from them, so its residue is snapped out.
+    lmat[:, constant] = 0.0
     lmat /= np.sqrt(s_count)
-    return ProjectionSet(lmat, pi_hat, seed)
+    return ProjectionSet(lmat)
 
 
 # -- posteriors -----------------------------------------------------------
@@ -504,16 +498,16 @@ def synth_gaussian_dataset(d: int, n: int, seed) -> tuple:
     return model, conjugate_posterior(model, np.ones(n))
 
 
-def synth_radial_basis_model(n: int, basis_scales, per_scale_count: int, seed,
-                             obs_noise: float = 0.5) -> BayesianModel:
+def synth_radial_basis_model(n: int, basis_scales, per_scale_count: int,
+                             seed) -> BayesianModel:
     """Synthetic 2-D radial-basis regression model.
 
     Generates 2-D coordinates, builds ``per_scale_count`` Gaussian bases per
     scale with means sampled uniformly from the coordinates, plus one
     near-constant basis of scale 100 at the coordinate mean. Responses come
-    from a random coefficient draw plus observation noise. The likelihood
-    noise variance is the empirical response variance; the prior is
-    N(mean(y), mean(y^2) I).
+    from a random coefficient draw plus N(0, 0.5^2) observation noise. The
+    likelihood noise variance is the empirical response variance; the prior
+    is N(mean(y), mean(y^2) I).
     """
     basis_scales = [float(s) for s in basis_scales]
     if n < 1 or per_scale_count < 1 or not basis_scales:
@@ -534,7 +528,7 @@ def synth_radial_basis_model(n: int, basis_scales, per_scale_count: int, seed,
     feats = np.exp(-sq_dist / (2.0 * scales[None, :] ** 2))
     d = feats.shape[1]
     alpha = rng.standard_normal(d)
-    y = feats @ alpha + obs_noise * rng.standard_normal(n)
+    y = feats @ alpha + 0.5 * rng.standard_normal(n)
     noise_var = float(np.var(y))
     prior = GaussianDist(np.full(d, y.mean()), float(np.mean(y ** 2)) * np.eye(d))
     return BayesianModel(
@@ -547,23 +541,17 @@ def synth_radial_basis_model(n: int, basis_scales, per_scale_count: int, seed,
     )
 
 
-def synth_glm_dataset(kind: str, n: int, d: Optional[int] = None, seed=0,
-                      true_theta=None) -> BayesianModel:
-    """Synthetic logistic (default D=2, theta=[3,3,0]) or Poisson
-    (default D=1, theta=[1,0]) regression model with prior N(0, I)."""
+def synth_glm_dataset(kind: str, n: int, d: Optional[int] = None, seed=0) -> BayesianModel:
+    """Synthetic logistic (default D=2, every slope 3) or Poisson (default
+    D=1, every slope 1) regression model, intercept 0, with prior N(0, I)."""
     if kind not in ("logistic", "poisson"):
         raise ValueError(f"kind must be 'logistic' or 'poisson', got {kind!r}")
     if d is None:
         d = 2 if kind == "logistic" else 1
-    if true_theta is None:
-        slope = 3.0 if kind == "logistic" else 1.0
-        true_theta = np.concatenate([np.full(d, slope), [0.0]])
-    true_theta = np.asarray(true_theta, dtype=np.float64)
-    if true_theta.shape != (d + 1,):
-        raise ValueError(f"true_theta must have length {d + 1}")
+    slope = 3.0 if kind == "logistic" else 1.0
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
-    t = x @ true_theta[:d] + true_theta[d]
+    t = x @ np.full(d, slope)
     if kind == "logistic":
         y = np.where(rng.random(n) < _expit(t), 1.0, -1.0)
     else:

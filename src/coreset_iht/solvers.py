@@ -159,12 +159,14 @@ class SolverTrace:
         ]
         return SolverTrace(records, self.termination)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "termination": self.termination.value,
             "records": [r.to_dict() for r in self.records],
         }
-        return json.dumps(payload)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     def to_csv(self) -> str:
         buf = io.StringIO()

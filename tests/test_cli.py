@@ -140,6 +140,12 @@ class TestSweep:
         _, rows = read_aggregate(result.csv_path)
         assert all(r["trial_count"] == "0" for r in rows)
 
+    def test_every_aggregate_row_has_a_map_distance(self, tmp_path):
+        result = run_sweep(tiny_config(tmp_path))
+        _, rows = read_aggregate(result.csv_path)
+        assert [int(r["trial_count"]) for r in rows] == [3, 3]
+        assert all(float(r["map_l2_med"]) >= 0 for r in rows)
+
     def test_uniform_solver_runs(self, tmp_path):
         cfg = tiny_config(tmp_path, solver="uniform", k_list=[4], trials=2)
         result = run_sweep(cfg)
@@ -376,8 +382,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("case", ["index_past_end", "negative_index", "fractional_index",
                                       "duplicate_index", "length_mismatch", "no_trial",
-                                      "negative_value", "nan_value", "null_value",
-                                      "string_value"])
+                                      "trial_past_end", "negative_value", "nan_value",
+                                      "null_value", "string_value"])
     def test_evaluate_malformed_weights_exits_one(self, tmp_path, capsys, logistic_build, case):
         payload = json.loads(logistic_build.read_text())
         if case == "index_past_end":
@@ -390,6 +396,8 @@ class TestMainEntry:
             payload["support"][1] = payload["support"][0]
         elif case == "length_mismatch":
             payload["values"].pop()
+        elif case == "trial_past_end":
+            payload["trial"] = 10 ** 30
         elif case.endswith("_value"):
             payload["values"][0] = {"negative_value": -0.5, "nan_value": float("nan"),
                                     "null_value": None, "string_value": "a"}[case]
@@ -400,6 +408,49 @@ class TestMainEntry:
         assert main(["evaluate", "--weights", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{case}.json" in err
+
+    @pytest.mark.parametrize("config,message", [
+        ({"dim": "2"}, "config field dim must be int"),
+        ({"map_l2": True}, "unknown config fields: ['map_l2']"),
+    ])
+    def test_evaluate_bad_build_config_exits_one(self, tmp_path, capsys, logistic_build,
+                                                 config, message):
+        payload = json.loads(logistic_build.read_text())
+        payload["config"].update(config)
+        bad = tmp_path / "bad_config.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["evaluate", "--weights", str(bad), "--outdir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config,message", [
+        ({"trials": "2"}, "config field trials must be int"),
+        ({"trials": 2.5}, "config field trials must be int"),
+        ({"trials": True}, "config field trials must be int"),
+        ({"k_list": 5}, "config field k_list must be list[int]"),
+        ({"k_list": [3.5]}, "config field k_list must be list[int]"),
+        ({"basis_scales": ["0.5"]}, "config field basis_scales must be list[float]"),
+        ({"record_timing": 0}, "config field record_timing must be bool"),
+        ({"map_l2": True}, "unknown config fields: ['map_l2']"),
+        ([1, 2], "a config must be a JSON object"),
+    ])
+    def test_malformed_config_file_rejected_before_any_run(self, tmp_path, capsys,
+                                                           config, message):
+        outdir = tmp_path / "out"
+        if isinstance(config, dict):
+            config = {**tiny_config(outdir, trials=1).to_dict(), **config}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg_file), "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not outdir.exists()
+
+    def test_map_l2_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--no-map-l2", "--outdir", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-map-l2" in capsys.readouterr().err
 
     def test_csv_uniform_sweep_uses_dataset_size(self, tmp_path, capsys):
         # The uniform baseline once drew weights for the default n_data (100)

@@ -20,7 +20,6 @@ from coreset_iht import (
     laplace_approximation,
     line_search_step,
     load_csv_dataset,
-    log_likelihood,
     momentum_coefficient,
     objective,
     posterior_approximation,
@@ -178,11 +177,11 @@ class TestLogLikelihood:
         model = synth_glm_dataset("logistic", 10, seed=0)
         theta = np.zeros(3)
         for i in range(10):
-            assert log_likelihood(model, i, theta) == pytest.approx(math.log(0.5), rel=1e-12)
+            assert model.log_likelihood(i, theta) == pytest.approx(math.log(0.5), rel=1e-12)
 
     def test_gaussian_mean_at_data_point(self):
         model = gaussian_mean_model([[0.3, -1.2]])
-        value = log_likelihood(model, 0, np.array([0.3, -1.2]))
+        value = model.log_likelihood(0, np.array([0.3, -1.2]))
         assert value == pytest.approx(-math.log(2 * math.pi), rel=1e-12)
 
     def test_poisson_matches_direct_evaluation(self):
@@ -193,18 +192,18 @@ class TestLogLikelihood:
         for i, (x, y) in enumerate([(0.4, 2.0), (-1.2, 0.0)]):
             rate = math.log1p(math.exp(0.7 * x - 0.3))
             expected = y * math.log(rate) - rate - math.lgamma(y + 1.0)
-            assert log_likelihood(model, i, theta) == pytest.approx(expected, rel=1e-12)
+            assert model.log_likelihood(i, theta) == pytest.approx(expected, rel=1e-12)
 
     def test_index_out_of_range(self):
         model = gaussian_mean_model([[0.0]])
         with pytest.raises(ValueError):
-            log_likelihood(model, 1, np.zeros(1))
+            model.log_likelihood(1, np.zeros(1))
 
     def test_nonfinite_raises_with_index(self):
         prior = GaussianDist(np.zeros(2), np.eye(2))
         model = BayesianModel(kind="poisson", dataset=Dataset([[-800.0]], [3.0]), prior=prior)
         with pytest.raises(LikelihoodError, match="index 0"):
-            log_likelihood(model, 0, np.array([1.0, 0.0]))
+            model.log_likelihood(0, np.array([1.0, 0.0]))
 
 
 class TestLogJoint:
@@ -270,6 +269,20 @@ class TestBuildProjection:
         proj = build_projection(model, prior, 200, seed=0)
         assert not proj.phi[:, 0].any()
         assert proj.phi[:, 1].any()
+
+    def test_constant_column_among_many_is_zero(self):
+        # The mean of 400 equal values rounds away from them here, so the
+        # constant column keeps a residue unless it is snapped exactly, and
+        # the projection then fails its centring check.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((300, 3))
+        y = rng.standard_normal(300)
+        x[17] = 0.0
+        model = BayesianModel(kind="linear_regression", dataset=Dataset(x, y),
+                              prior=GaussianDist(np.zeros(3), np.eye(3)), noise_var=1.0)
+        proj = build_projection(model, full_data_posterior(model), 400, (5, 0, 1))
+        assert not proj.phi[:, 17].any()
+        assert np.all(np.delete(proj.phi, 17, axis=1).any(axis=0))
 
     def test_columns_centered(self):
         model = gaussian_mean_model(np.random.default_rng(0).standard_normal((6, 2)))
@@ -498,7 +511,7 @@ class TestConjugatePosterior:
         post = conjugate_posterior(model, w)
         consts = []
         for theta in (-1.0, -0.3, 0.2, 0.9, 1.6):
-            weighted_lik = sum(w[i] * log_likelihood(model, i, [theta]) for i in range(5))
+            weighted_lik = sum(w[i] * model.log_likelihood(i, [theta]) for i in range(5))
             consts.append(post.logpdf([theta]) - model.prior.logpdf([theta]) - weighted_lik)
         assert max(consts) - min(consts) <= 1e-8
 
@@ -646,10 +659,6 @@ class TestSynthGlm:
         p_mc = float(np.mean(rng.random(m) < 1.0 / (1.0 + np.exp(-(3 * x[:, 0] + 3 * x[:, 1])))))
         se = math.sqrt(p_hat * (1 - p_hat) / n + p_mc * (1 - p_mc) / m)
         assert abs(p_hat - p_mc) <= 3 * se
-
-    def test_custom_theta_dimension_checked(self):
-        with pytest.raises(ValueError):
-            synth_glm_dataset("logistic", 10, d=2, seed=0, true_theta=[1.0, 2.0])
 
 
 class TestCsvRoundTrip:

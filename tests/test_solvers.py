@@ -492,6 +492,12 @@ class TestTraceSerialization:
         assert payload["termination"] in ("converged", "max_iters", "stalled")
         assert list(payload["records"][0]) == ["iter", "f", "mu", "tau", "support", "ns"]
 
+    def test_dict_is_the_parsed_json(self):
+        problem, _ = small_recovery_instance()
+        _, trace = solve_aiht(problem, SolverConfig(k=2, max_iters=5))
+        assert len(trace) > 1
+        assert trace.to_dict() == json.loads(trace.to_json())
+
     def test_csv_column_order(self):
         problem, _ = small_recovery_instance()
         _, trace = solve_aiht(problem, SolverConfig(k=2, max_iters=5))
