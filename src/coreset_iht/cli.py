@@ -104,6 +104,14 @@ class ExperimentConfig:
             raise ValueError(f"k_list repeats a sparsity level: {self.k_list}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if self.n_data < 1:
+            raise ValueError(f"n_data must be >= 1, got {self.n_data}")
+        if self.s_count < 2:
+            raise ValueError(f"s_count must be >= 2, got {self.s_count}")
         if self.experiment == "csv" and not self.csv_path:
             raise ValueError("csv experiment needs csv_path")
         _solver_config(self, self.k_list[0], 0)  # rejects bad solver settings before any run
@@ -214,8 +222,9 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     pi_hat = full_data_posterior(model)
     problem = None
     if cfg.solver != "uniform":
-        projection = build_projection(model, pi_hat, cfg.s_count, (cfg.seed, trial, 1))
-        problem = projection.to_problem()
+        # The projection and its problem share one S x n array; nothing else
+        # holds it, so a tall problem's is freed once its R factor exists.
+        problem = build_projection(model, pi_hat, cfg.s_count, (cfg.seed, trial, 1)).to_problem()
         if problem.s_dim > problem.n:
             # Exact, not an approximation: y = phi @ 1 lies in range(phi) =
             # range(Q) for phi = QR, so ||y - phi w|| = ||R 1 - R w|| for

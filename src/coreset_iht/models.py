@@ -335,6 +335,9 @@ def _with_intercept(x: np.ndarray) -> np.ndarray:
 
 # -- projection -----------------------------------------------------------
 
+PROJECTION_BLOCK = 512  # data columns per log-likelihood block of a build
+
+
 def _max_abs(a: np.ndarray) -> np.ndarray:
     """max |a| down each column, exactly, without an |a| temporary."""
     return np.maximum(a.max(axis=0), -a.min(axis=0))
@@ -343,7 +346,13 @@ def _max_abs(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ProjectionSet:
     """Centered, 1/sqrt(S)-scaled log-likelihood evaluations, one column per
-    data point."""
+    data point.
+
+    ``phi`` is stored column-major and read-only. The array that
+    ``build_projection`` builds is kept as it is, not copied, and
+    ``to_problem`` shares it too, so one S x N array serves the projection
+    and its problem.
+    """
 
     phi: np.ndarray
 
@@ -372,27 +381,50 @@ def build_projection(model: BayesianModel, pi_hat: GaussianDist, s_count: int,
     Draws theta_1..theta_S i.i.d. from ``pi_hat`` (sequentially, from one
     seeded generator), then centers each data point's evaluation column and
     scales by 1/sqrt(S).
+
+    The log-likelihoods are evaluated on blocks of ``PROJECTION_BLOCK`` data
+    columns. Each block is centred, snapped and scaled in place and copied
+    into the one column-major S x N array that the projection keeps, which
+    is allocated once the first block exists. A build of N >
+    ``PROJECTION_BLOCK`` points therefore holds that array and at most two
+    blocks at its peak, and a one-block build two S x N arrays.
     """
     if s_count < 2:
         raise ValueError(f"s_count must be >= 2, got {s_count}")
     if pi_hat.dim != model.theta_dim:
         raise ValueError("weighting distribution dimension does not match the model")
+    n = model.dataset.n
+    if n < 1:
+        raise ValueError("the model has no data points")
     rng = np.random.default_rng(seed)
     thetas = pi_hat.sample(rng, s_count)
-    lmat = model.log_likelihood_matrix(thetas)
-    if not np.all(np.isfinite(lmat)):
-        bad = np.argwhere(~np.isfinite(lmat))[0]
+    phi = None
+    bad = None  # the row-major first non-finite entry: (theta, data index)
+    for lo in range(0, n, PROJECTION_BLOCK):
+        block = model._log_likelihoods(thetas, slice(lo, lo + PROJECTION_BLOCK))
+        col_max, col_min = block.max(axis=0), block.min(axis=0)
+        # A NaN makes both extremes NaN and an infinity one of them.
+        if not (np.all(np.isfinite(col_max)) and np.all(np.isfinite(col_min))):
+            theta, col = np.argwhere(~np.isfinite(block))[0]
+            first = (int(theta), lo + int(col))
+            bad = first if bad is None else min(bad, first)
+        if bad is None:
+            block -= block.mean(axis=0, keepdims=True)
+            # A column constant in theta centers to zero exactly; the mean
+            # of equal values can round away from them, so its residue is
+            # snapped out.
+            block[:, col_max == col_min] = 0.0
+            block /= np.sqrt(s_count)
+            if phi is None:
+                phi = np.empty((s_count, n), order="F")
+            phi[:, lo:lo + block.shape[1]] = block
+        # Freed now, or it would stay alive while the next block is evaluated.
+        del block
+    if bad is not None:
         raise LikelihoodError(
             f"non-finite log-likelihood at data index {bad[1]} for sampled theta {bad[0]}")
-    # Centred, snapped and scaled in place, so the build holds lmat and the
-    # projection's column-major copy of it, two S x N arrays, at its peak.
-    constant = lmat.max(axis=0) == lmat.min(axis=0)
-    lmat -= lmat.mean(axis=0, keepdims=True)
-    # A column constant in theta centers to zero exactly; the mean of equal
-    # values can round away from them, so its residue is snapped out.
-    lmat[:, constant] = 0.0
-    lmat /= np.sqrt(s_count)
-    return ProjectionSet(lmat)
+    phi.setflags(write=False)
+    return ProjectionSet(phi)
 
 
 # -- posteriors -----------------------------------------------------------

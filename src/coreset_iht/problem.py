@@ -17,6 +17,18 @@ import numpy as np
 
 
 def _frozen_array(values, dtype=np.float64, order="K") -> np.ndarray:
+    """A read-only array of ``values`` with layout ``order``.
+
+    An array that is already read-only, of ``dtype``, owns its data and has
+    the layout is returned as it is, so immutable objects built from one
+    another share one buffer (a projection's ``phi`` and its problem's).
+    Anything else is copied: a writable array stays the caller's, and a
+    read-only view may still see writes through its writable base.
+    """
+    if (type(values) is np.ndarray and not values.flags.writeable and values.flags.owndata
+            and values.dtype == dtype
+            and (order == "K" or values.flags[f"{order}_CONTIGUOUS"])):
+        return values
     out = np.array(values, dtype=dtype, order=order)
     out.setflags(write=False)
     return out
@@ -37,7 +49,9 @@ class SparseRegressionProblem:
     posterior sample. ``y`` has length s_dim. Both are stored read-only so
     instances can be shared across threads. ``phi`` keeps the memory layout
     of its input: a column-major ``ProjectionSet.phi`` gives a column-major
-    problem, and a C-order array a C-order one.
+    problem, and a C-order array a C-order one. A read-only array that owns
+    its data, such as ``ProjectionSet.phi``, is shared, not copied, so a
+    projection and its problem hold one S x n array between them.
     """
 
     phi: np.ndarray
@@ -52,7 +66,9 @@ class SparseRegressionProblem:
             raise ValueError(f"phi must have at least one row and column, got {phi.shape}")
         if y.shape != (phi.shape[0],):
             raise ValueError(f"y has shape {y.shape}, expected ({phi.shape[0]},)")
-        if not np.all(np.isfinite(phi)):
+        # A NaN makes the max NaN, +inf the max and -inf the min infinite;
+        # no S x n boolean temporary.
+        if not (np.isfinite(phi.max()) and np.isfinite(phi.min())):
             raise ValueError("phi contains non-finite entries")
         if not np.all(np.isfinite(y)):
             raise ValueError("y contains non-finite entries")

@@ -433,6 +433,10 @@ class TestMainEntry:
         ({"record_timing": 0}, "config field record_timing must be bool"),
         ({"map_l2": True}, "unknown config fields: ['map_l2']"),
         ([1, 2], "a config must be a JSON object"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"dim": 0}, "dim must be >= 1, got 0"),
+        ({"n_data": 0}, "n_data must be >= 1, got 0"),
+        ({"s_count": 1}, "s_count must be >= 2, got 1"),
     ])
     def test_malformed_config_file_rejected_before_any_run(self, tmp_path, capsys,
                                                            config, message):

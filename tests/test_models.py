@@ -292,8 +292,8 @@ class TestBuildProjection:
 
     def test_constant_shift_leaves_projection_unchanged(self):
         class ShiftedModel(BayesianModel):
-            def log_likelihood_matrix(self, thetas):
-                return super().log_likelihood_matrix(thetas) + 7.3
+            def _log_likelihoods(self, thetas, rows):
+                return super()._log_likelihoods(thetas, rows) + 7.3
 
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 2))
@@ -326,6 +326,11 @@ class TestBuildProjection:
         model = gaussian_mean_model([[0.0]])
         with pytest.raises(ValueError):
             build_projection(model, model.prior, 1, seed=0)
+
+    def test_empty_dataset_rejected(self):
+        model = gaussian_mean_model(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="no data points"):
+            build_projection(model, model.prior, 10, seed=0)
 
     def test_to_problem_target_is_column_sum(self):
         model = gaussian_mean_model(np.random.default_rng(4).standard_normal((5, 2)))
@@ -396,17 +401,17 @@ def reference_projection(model, pi_hat, s_count, seed):
     return centered / np.sqrt(s_count)
 
 
-def projection_model(kind):
-    """A 300-point model of each kind."""
+def projection_model(kind, n=300):
+    """An n-point model of each kind."""
     if kind in ("logistic", "poisson"):
-        return synth_glm_dataset(kind, 300, d=2, seed=5)
+        return synth_glm_dataset(kind, n, d=2, seed=5)
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((300, 3))
+    x = rng.standard_normal((n, 3))
     prior = GaussianDist(np.zeros(3), np.eye(3))
     if kind == "gaussian_mean":
-        return BayesianModel(kind=kind, dataset=Dataset(x, np.zeros(300)), prior=prior,
+        return BayesianModel(kind=kind, dataset=Dataset(x, np.zeros(n)), prior=prior,
                              obs_cov=np.diag([0.5, 1.0, 2.0]))
-    return BayesianModel(kind=kind, dataset=Dataset(x, rng.standard_normal(300)),
+    return BayesianModel(kind=kind, dataset=Dataset(x, rng.standard_normal(n)),
                          prior=prior, noise_var=0.7)
 
 
@@ -446,6 +451,76 @@ class TestProjectionInPlace:
         problem = proj.to_problem()
         assert problem.phi.flags.f_contiguous
         assert np.array_equal(problem.phi, proj.phi)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_problem_shares_the_projection_array(self, kind):
+        model = projection_model(kind)
+        proj = build_projection(model, full_data_posterior(model), 50, (5, 0, 1))
+        assert proj.phi.flags.owndata
+        assert proj.to_problem().phi is proj.phi
+
+
+class TestBlockedBuild:
+    """A build of N > ``PROJECTION_BLOCK`` points evaluates the likelihoods
+    block by block into one column-major array."""
+
+    S, N = 100, 5000  # nine full blocks and a short last one
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_peak_memory_is_phi_and_a_few_blocks(self, kind):
+        model = projection_model(kind, self.N)
+        pi_hat = full_data_posterior(model)
+        tracemalloc.start()
+        try:
+            proj = build_projection(model, pi_hat, self.S, (5, 0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * proj.phi.nbytes
+        assert proj.to_problem().phi is proj.phi
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_matches_unblocked_formula(self, kind):
+        # Blocked and one-call matrix products may round differently, as
+        # BLAS splits the columns across threads in another way.
+        assert self.N // models.PROJECTION_BLOCK == 9 and self.N % models.PROJECTION_BLOCK
+        model = projection_model(kind, self.N)
+        pi_hat = full_data_posterior(model)
+        phi = build_projection(model, pi_hat, self.S, (5, 0, 1)).phi
+        expected = reference_projection(model, pi_hat, self.S, (5, 0, 1))
+        assert phi.shape == expected.shape and phi.flags.f_contiguous
+        scale = np.max(np.abs(expected), axis=0)
+        assert np.all(np.abs(phi - expected) <= 1e-12 * scale)
+
+    # (x, y) of an early and a late data row with non-finite likelihoods. For
+    # logistic and poisson only at the thetas whose first entry is large and
+    # of one sign, the opposite sign for each row, so the row-major first bad
+    # entry lies in the late row's block.
+    BAD = {"gaussian_mean": (([1e200, 0.0, 0.0], 0.0), ([1e200, 0.0, 0.0], 0.0)),
+           "linear_regression": (([0.0, 0.0, 0.0], 1e200), ([0.0, 0.0, 0.0], 1e200)),
+           "logistic": (([-1e308, 0.0], 1.0), ([1e308, 0.0], 1.0)),
+           "poisson": (([-800.0, 0.0], 3.0), ([800.0, 0.0], 3.0))}
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_nonfinite_entry_named_as_unblocked(self, kind):
+        base = projection_model(kind, self.N)
+        x, y = np.array(base.dataset.x), np.array(base.dataset.y)
+        early, late = 700, 4500  # in blocks 1 and 8
+        (x[early], y[early]), (x[late], y[late]) = self.BAD[kind]
+        model = BayesianModel(kind=kind, dataset=Dataset(x, y), prior=base.prior,
+                              noise_var=base.noise_var, obs_cov=base.obs_cov)
+        pi_hat = GaussianDist(np.zeros(model.theta_dim), 4.0 * np.eye(model.theta_dim))
+        thetas = pi_hat.sample(np.random.default_rng((5, 0, 1)), self.S)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            bad = ~np.isfinite(reference_log_likelihoods(model, thetas))
+        assert set(np.flatnonzero(bad.any(axis=0))) == {early, late}
+        theta, index = np.argwhere(bad)[0]
+        if kind in ("logistic", "poisson"):
+            assert index == late
+        with pytest.raises(LikelihoodError,
+                           match=f"data index {index} for sampled theta {theta}$"), \
+                np.errstate(over="ignore"):
+            build_projection(model, pi_hat, self.S, (5, 0, 1))
 
 
 class TestRFactorProblem:

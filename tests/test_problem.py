@@ -14,14 +14,15 @@ from coreset_iht import (
     project_topk_nonneg,
     restrict,
 )
-from coreset_iht.problem import _Columns
+from coreset_iht.problem import _Columns, _frozen_array
 from conftest import random_problem
 
 
 class TestTypes:
     def test_problem_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            SparseRegressionProblem([[1.0, np.nan]], [0.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="phi contains non-finite"):
+                SparseRegressionProblem([[1.0, bad], [2.0, 3.0]], [0.0, 0.0])
         with pytest.raises(ValueError):
             SparseRegressionProblem([[1.0, 2.0]], [np.inf])
 
@@ -57,6 +58,40 @@ class TestTypes:
         assert w.support.tolist() == [1, 3]
         assert w.sparsity == 2
         assert len(w) == 4
+
+
+class TestFrozenArray:
+    def test_owned_read_only_array_is_shared(self):
+        a = np.asarray(np.arange(12.0).reshape(3, 4), order="F")
+        a.setflags(write=False)
+        assert _frozen_array(a, order="F") is a
+        assert _frozen_array(a) is a
+        problem = SparseRegressionProblem(a, np.ones(3))
+        assert problem.phi is a
+
+    def test_writable_array_is_copied(self):
+        a = np.arange(6.0)
+        out = _frozen_array(a)
+        assert not np.shares_memory(out, a) and not out.flags.writeable
+        assert a.flags.writeable
+        a[0] = 7.0
+        assert out[0] == 0.0
+
+    def test_read_only_view_of_writable_base_is_copied(self):
+        base = np.arange(12.0).reshape(3, 4)
+        view = base[:, :2]
+        view.setflags(write=False)
+        out = _frozen_array(view)
+        assert not np.shares_memory(out, base)
+        base[0, 0] = 7.0
+        assert out[0, 0] == 0.0
+
+    def test_other_layout_or_dtype_is_copied(self):
+        a = np.arange(12.0).reshape(3, 4)
+        a.setflags(write=False)
+        out = _frozen_array(a, order="F")
+        assert out is not a and out.flags.f_contiguous
+        assert _frozen_array(a, dtype=np.float32) is not a
 
 
 class TestLayout:
