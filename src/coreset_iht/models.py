@@ -232,46 +232,49 @@ class BayesianModel:
     def _log_likelihoods(self, thetas: np.ndarray, rows) -> np.ndarray:
         """``log_likelihood_matrix`` restricted to the data rows ``rows`` (an
         index array or a slice)."""
-        x, y = self.dataset.x[rows], self.dataset.y[rows]
-        # Each kind fills one S x N array and finishes it in place; the
-        # in-place ufuncs give the same bits as the out-of-place formulas.
-        if self.kind == "gaussian_mean":
-            prec = self.obs_prec
-            _, logdet = np.linalg.slogdet(self.obs_cov)
-            norm_const = -0.5 * (x.shape[1] * np.log(2 * np.pi) + logdet)
-            xq = np.einsum("nd,nd->n", x @ prec, x)
-            tq = np.einsum("sd,sd->s", thetas @ prec, thetas)
-            # norm_const - 0.5 * (xq - 2 cross + tq)
-            out = thetas @ prec @ x.T
-            out *= 2.0
-            np.subtract(xq[None, :], out, out=out)
-            out += tq[:, None]
-            out *= 0.5
-            return np.subtract(norm_const, out, out=out)
-        if self.kind == "linear_regression":
-            # norm_const - (y - preds)^2 / (2 noise_var)
-            out = thetas @ x.T
-            norm_const = -0.5 * np.log(2 * np.pi * self.noise_var)
-            np.subtract(y[None, :], out, out=out)
-            np.square(out, out=out)
-            out /= 2.0 * self.noise_var
-            return np.subtract(norm_const, out, out=out)
-        out = thetas @ _with_intercept(x).T
-        if self.kind == "logistic":
-            # -log(1 + exp(-y t))
-            np.multiply(out, -y[None, :], out=out)
-            np.logaddexp(0.0, out, out=out)
-            return np.negative(out, out=out)
-        # poisson: y log(lam) - lam - log y! with rate lam = softplus(t); an
-        # underflowed rate yields a non-finite value that callers turn into
-        # LikelihoodError
-        lam = np.logaddexp(0.0, out, out=out)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # Overflow gives a non-finite entry, not a warning: build_projection
+        # and log_likelihood find such entries and raise LikelihoodError
+        # naming the data index, and the Laplace fit rejects a trial point
+        # whose log joint is not finite.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x, y = self.dataset.x[rows], self.dataset.y[rows]
+            # Each kind fills one S x N array and finishes it in place; the
+            # in-place ufuncs give the same bits as the out-of-place formulas.
+            if self.kind == "gaussian_mean":
+                prec = self.obs_prec
+                _, logdet = np.linalg.slogdet(self.obs_cov)
+                norm_const = -0.5 * (x.shape[1] * np.log(2 * np.pi) + logdet)
+                xq = np.einsum("nd,nd->n", x @ prec, x)
+                tq = np.einsum("sd,sd->s", thetas @ prec, thetas)
+                # norm_const - 0.5 * (xq - 2 cross + tq)
+                out = thetas @ prec @ x.T
+                out *= 2.0
+                np.subtract(xq[None, :], out, out=out)
+                out += tq[:, None]
+                out *= 0.5
+                return np.subtract(norm_const, out, out=out)
+            if self.kind == "linear_regression":
+                # norm_const - (y - preds)^2 / (2 noise_var)
+                out = thetas @ x.T
+                norm_const = -0.5 * np.log(2 * np.pi * self.noise_var)
+                np.subtract(y[None, :], out, out=out)
+                np.square(out, out=out)
+                out /= 2.0 * self.noise_var
+                return np.subtract(norm_const, out, out=out)
+            out = thetas @ _with_intercept(x).T
+            if self.kind == "logistic":
+                # -log(1 + exp(-y t))
+                np.multiply(out, -y[None, :], out=out)
+                np.logaddexp(0.0, out, out=out)
+                return np.negative(out, out=out)
+            # poisson: y log(lam) - lam - log y! with rate lam = softplus(t); an
+            # underflowed rate gives a non-finite value
+            lam = np.logaddexp(0.0, out, out=out)
             out = np.log(lam)
             out *= y[None, :]
             out -= lam
             out -= self.log_factorial_y[rows][None, :]
-        return out
+            return out
 
     def log_likelihood(self, i: int, theta) -> float:
         """L_i(theta) for a single data point; errors on non-finite output."""

@@ -11,7 +11,7 @@ regression target (for coreset problems, the sum of all columns).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -169,8 +169,13 @@ class _Columns:
         return -2.0 * (self.cols.T @ r)
 
 
-def _residual(problem: SparseRegressionProblem, w: np.ndarray) -> np.ndarray:
-    return problem.y - _Columns(problem.phi, np.flatnonzero(w)).image(w)
+def _residual(problem: SparseRegressionProblem, w: np.ndarray,
+              cols: Optional[_Columns] = None) -> np.ndarray:
+    """y - phi @ w. ``cols`` are the columns supp(w) of ``phi`` when the
+    caller already holds them; otherwise w is scanned for its support."""
+    if cols is None:
+        cols = _Columns(problem.phi, np.flatnonzero(w))
+    return problem.y - cols.image(w)
 
 
 def objective(problem: SparseRegressionProblem, weights) -> float:
@@ -189,7 +194,12 @@ def gradient(problem: SparseRegressionProblem, weights) -> np.ndarray:
     """
     w = _as_weights(weights)
     _check_length(problem, w)
-    return -2.0 * (problem.phi.T @ _residual(problem, w))
+    return _gradient(problem, _residual(problem, w))
+
+
+def _gradient(problem: SparseRegressionProblem, r: np.ndarray) -> np.ndarray:
+    """The gradient -2 phi^T r at a point whose residual y - phi @ w is r."""
+    return -2.0 * (problem.phi.T @ r)
 
 
 def _top_k_mask(a: np.ndarray, k: int) -> np.ndarray:

@@ -518,8 +518,7 @@ class TestBlockedBuild:
         if kind in ("logistic", "poisson"):
             assert index == late
         with pytest.raises(LikelihoodError,
-                           match=f"data index {index} for sampled theta {theta}$"), \
-                np.errstate(over="ignore"):
+                           match=f"data index {index} for sampled theta {theta}$"):
             build_projection(model, pi_hat, self.S, (5, 0, 1))
 
 

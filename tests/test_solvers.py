@@ -17,6 +17,7 @@ from coreset_iht import (
     momentum_coefficient,
     nnls_on_support,
     objective,
+    project_topk_excluding,
     project_topk_nonneg,
     restrict,
     solve_aiht,
@@ -26,7 +27,15 @@ from coreset_iht import (
     step_along,
     stochastic_gradient,
 )
-from coreset_iht.solvers import _accelerated_iht
+from coreset_iht import problem as problem_module
+from coreset_iht.problem import _Columns
+from coreset_iht.solvers import (
+    TraceRecord,
+    _accelerated_iht,
+    _converged,
+    _exact_step,
+    _momentum,
+)
 from conftest import random_problem, recovery_problem
 
 
@@ -482,6 +491,151 @@ class TestStallTermination:
                                     debias=False, gradient_fn=stub)
         assert trace.termination is Termination.STALLED
         assert np.all(w.w >= 0)
+
+
+class TestNonFiniteStep:
+    def test_infinite_projected_step_is_divergence(self):
+        # White-box: phi's first column is so small that the exact step along
+        # the stub gradient is 2.5e155, and mu * g overflows to -inf, so the
+        # projected step selects +inf. Carried on, the debias products would
+        # meet inf - inf in a matmul and warn before f is checked.
+        problem = SparseRegressionProblem(np.array([[1e-78, 1.0], [-1e-78, 1.0]]),
+                                          [1.0, 1.0])
+
+        def stub(_z):
+            return np.array([-1e153, 0.0])
+
+        for debias in (False, True):
+            with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
+                _accelerated_iht(problem, SolverConfig(k=1, max_iters=5),
+                                 debias=debias, gradient_fn=stub)
+            assert err.value.iteration == 0
+
+
+def reference_accelerated_iht(problem, cfg, *, debias, batched=False):
+    """The accelerated-IHT loop written with the public helpers and a dense
+    scan for every support: the kernel must match it bit for bit."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    stochastic = batched and cfg.batch_fraction < 1.0
+    n = problem.n
+    w = np.zeros(n)
+    z = np.zeros(n)
+    records, capture = [], []
+    termination = Termination.MAX_ITERS
+    stall_run = 0
+    for t in range(cfg.effective_max_iters(batched=batched)):
+        if batched:  # until a stochastic run switches to the exact gradient
+            grad = stochastic_gradient(problem, z, cfg.batch_fraction, rng)
+        else:
+            grad = gradient(problem, z)
+        z_support = np.flatnonzero(z)
+        support = np.union1d(project_topk_excluding(grad, cfg.k, z_support), z_support)
+        grad_restricted = restrict(grad, support)
+        if stochastic:
+            mu = step_along(problem, z, grad_restricted)
+        else:
+            mu = line_search_step(problem, grad_restricted)
+        x = project_topk_nonneg(z - mu * grad, cfg.k).w
+        x_projected = x
+        cols = _Columns(problem.phi, np.union1d(np.flatnonzero(x), np.flatnonzero(w)))
+        mu_debias = debias_grad = None
+        if debias:
+            debias_grad = np.zeros(n)
+            debias_grad[cols.idx] = cols.gradient(problem.y - cols.image(x))
+            debias_grad[x == 0.0] = 0.0
+            if float(debias_grad @ debias_grad) > 0.0:
+                mu_debias = _exact_step(debias_grad, cols.image(debias_grad))
+                x = np.maximum(x - mu_debias * debias_grad, 0.0)
+        w_next = x
+        step = w_next - w
+        r_next = problem.y - cols.image(w_next)
+        tau = _momentum(r_next, cols.image(step), cfg.momentum_formula)
+        z_next = w_next + tau * step
+        f = float(r_next @ r_next)
+        records.append(TraceRecord(t, f, mu, tau,
+                                   tuple(int(i) for i in np.flatnonzero(w_next)), 0))
+        capture.append({
+            "z": z.copy(), "grad": grad.copy(), "support_expanded": support.copy(),
+            "grad_restricted": grad_restricted.copy(), "mu": mu,
+            "x": x_projected.copy(), "debias_grad": debias_grad, "mu_debias": mu_debias,
+            "w_prev": w.copy(), "w_next": w_next.copy(), "tau": tau,
+        })
+        done = _converged(w_next, w, cfg.rel_tol)
+        w, z = w_next, z_next
+        if stochastic and (done or mu == 0.0):
+            stochastic = False
+            batched = False
+            continue
+        if done:
+            termination = Termination.CONVERGED
+            break
+        if mu == 0.0:
+            stall_run += 1
+            if stall_run >= 2:
+                termination = Termination.STALLED
+                break
+        else:
+            stall_run = 0
+    return w, records, termination, capture
+
+
+class TestKernelMatchesReference:
+    # A wide problem whose products all use gathered columns (3k <= n / 8),
+    # a wide one whose line-search support crosses the 1/8 crossover while
+    # supp(x) and supp(w) stay below it, and a tall one whose products all
+    # read the whole of phi.
+    PROBLEMS = {"wide": (30, 2000, 5), "crossing": (40, 120, 8), "tall": (300, 12, 3)}
+
+    @pytest.mark.parametrize("shape", sorted(PROBLEMS))
+    @pytest.mark.parametrize("variant", ["aiht", "aiht_debias", "batched_1", "batched_0.2"])
+    def test_bit_identical(self, shape, variant):
+        s_dim, n, k = self.PROBLEMS[shape]
+        problem = random_problem(np.random.default_rng(21), s_dim, n, y_scale=3.0)
+        batch_fraction = 0.2 if variant == "batched_0.2" else 1.0
+        cfg = SolverConfig(k=k, max_iters=120, rel_tol=1e-10, batch_fraction=batch_fraction,
+                           rng_seed=4)
+        debias = variant == "aiht_debias"
+        batched = variant.startswith("batched")
+        solver = {"aiht": solve_aiht, "aiht_debias": solve_aiht_debias}.get(
+            variant, solve_aiht_batched)
+        capture = []
+        w, trace = solver(problem, cfg, capture=capture)
+        ref_w, ref_records, ref_termination, ref_capture = reference_accelerated_iht(
+            problem, cfg, debias=debias, batched=batched)
+
+        assert len(trace) > 3
+        assert trace.with_zeroed_time().records == ref_records
+        assert trace.termination is ref_termination
+        assert np.array_equal(w.w, ref_w)
+        assert len(capture) == len(ref_capture)
+        for got, ref in zip(capture, ref_capture):
+            assert got.keys() == ref.keys()
+            for key, value in got.items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, ref[key]), key
+                else:
+                    assert value == ref[key], key
+        sizes = [c["support_expanded"].size for c in capture]
+        if shape == "crossing":
+            assert min(sizes) <= n / 8 < max(sizes)
+        elif shape == "wide":
+            assert max(sizes) <= n / 8
+
+    @pytest.mark.parametrize("solver", [solve_aiht, solve_aiht_debias, solve_aiht_batched])
+    def test_one_weight_vector_per_solve(self, solver, monkeypatch):
+        made = []
+        post_init = problem_module.WeightVector.__post_init__
+
+        def counting(self):
+            made.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(problem_module.WeightVector, "__post_init__", counting)
+        problem = random_problem(np.random.default_rng(22), 30, 400, y_scale=3.0)
+        cfg = SolverConfig(k=5, max_iters=30, batch_fraction=0.5)
+        _, trace = solver(problem, cfg)
+        assert len(trace) > 3
+        assert len(made) == 1
 
 
 class TestTraceSerialization:
