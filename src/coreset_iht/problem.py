@@ -237,11 +237,26 @@ def project_topk_nonneg(v, k: int) -> WeightVector:
     return WeightVector(np.where(_top_k_mask(clipped, k), clipped, 0.0))
 
 
+def _index_array(indices, name: str) -> np.ndarray:
+    """``indices`` as an int64 index array.
+
+    An integer array is used as it is; any other iterable is listed first,
+    so sets and ranges work. A boolean mask or a non-integer index is
+    refused: casting would read a mask as the indices 0 and 1 and truncate
+    a float.
+    """
+    idx = indices if isinstance(indices, np.ndarray) else np.asarray(list(indices))
+    if idx.dtype == np.bool_ or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+        raise TypeError(f"{name} must be integer indices, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def project_topk_excluding(v, k: int, excluded: Iterable[int]) -> np.ndarray:
     """Indices of the k largest-magnitude entries of ``v`` outside ``excluded``.
 
     Returns a sorted index array; fewer than k indices when fewer candidates
-    remain. Ties break toward the lowest index.
+    remain. Ties break toward the lowest index. ``excluded`` holds integer
+    indices; a boolean mask or a float raises ``TypeError``.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
@@ -249,9 +264,15 @@ def project_topk_excluding(v, k: int, excluded: Iterable[int]) -> np.ndarray:
     n = v.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    excluded = np.asarray(list(excluded), dtype=np.int64)
+    excluded = _index_array(excluded, "excluded")
     if excluded.size and (excluded.min() < 0 or excluded.max() >= n):
         raise ValueError("excluded indices out of range")
+    return _top_k_excluding(v, k, excluded)
+
+
+def _top_k_excluding(v: np.ndarray, k: int, excluded: np.ndarray) -> np.ndarray:
+    """``project_topk_excluding`` for a float64 vector, 1 <= k <= n and
+    int64 indices in range, none of which is checked."""
     # Magnitudes are >= 0, so -1 ranks every excluded entry below every
     # candidate.
     magnitude = np.abs(v)
@@ -262,11 +283,15 @@ def project_topk_excluding(v, k: int, excluded: Iterable[int]) -> np.ndarray:
 
 
 def restrict(v, support: Iterable[int]) -> np.ndarray:
-    """Zero out every entry of ``v`` whose index is not in ``support``."""
+    """Zero out every entry of ``v`` whose index is not in ``support``.
+
+    ``support`` holds integer indices; a boolean mask or a float raises
+    ``TypeError``.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"input must be 1-D, got shape {v.shape}")
-    idx = np.asarray(list(support), dtype=np.int64)
+    idx = _index_array(support, "support")
     out = np.zeros_like(v)
     if idx.size:
         if idx.min() < 0 or idx.max() >= v.shape[0]:

@@ -278,6 +278,22 @@ class TestProjectTopkExcluding:
         with pytest.raises(ValueError):
             project_topk_excluding([1.0, 2.0], 1, {5})
 
+    @pytest.mark.parametrize("excluded", [
+        [False, False, True, True, False], np.array([False, False, True, True, False]),
+        [2.0, 3.0], np.array([2.5])])
+    def test_mask_or_float_indices_refused(self, excluded):
+        # A cast would read the mask as the indices 0 and 1 and answer [2, 3].
+        with pytest.raises(TypeError, match="excluded"):
+            project_topk_excluding([5.0, 4.0, 3.0, 2.0, 1.0], 2, excluded)
+
+    def test_integer_iterables_and_arrays(self):
+        frozen = np.array([0, 1])
+        frozen.setflags(write=False)
+        for excluded in ([0, 1], (1, 0), {0, 1}, range(2), np.array([0, 1], dtype=np.int32),
+                         np.array([1, 0], dtype=np.uint8), frozen):
+            got = project_topk_excluding([5.0, 4.0, 3.0, 2.0, 1.0], 2, excluded)
+            assert got.tolist() == [2, 3]
+
 
 def stable_sort_topk_nonneg(v, k):
     """Reference projection: the first k of a stable descending argsort."""
@@ -339,6 +355,23 @@ class TestRestrict:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             restrict(np.array([1.0, 2.0]), [2])
+
+    @pytest.mark.parametrize("support", [
+        [False, False, True, True, False], np.array([False, False, True, True, False]),
+        [2.0, 3.0], np.array([2.5])])
+    def test_mask_or_float_indices_refused(self, support):
+        # A cast would read the mask as the indices 0 and 1 and answer
+        # [5, 4, 0, 0, 0].
+        with pytest.raises(TypeError, match="support"):
+            restrict([5.0, 4.0, 3.0, 2.0, 1.0], support)
+
+    def test_integer_iterables_and_arrays(self):
+        frozen = np.array([2, 3])
+        frozen.setflags(write=False)
+        for support in ([2, 3], (3, 2), {2, 3}, range(2, 4), np.array([2, 3], dtype=np.int32),
+                        np.array([3, 2], dtype=np.uint8), frozen):
+            assert restrict([5.0, 4.0, 3.0, 2.0, 1.0], support).tolist() == [
+                0.0, 0.0, 3.0, 2.0, 0.0]
 
     def test_idempotent_and_linear(self):
         rng = np.random.default_rng(9)

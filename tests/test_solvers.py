@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
 from coreset_iht import (
@@ -35,6 +37,7 @@ from coreset_iht.solvers import (
     _converged,
     _exact_step,
     _momentum,
+    _sorted_union,
 )
 from conftest import random_problem, recovery_problem
 
@@ -582,22 +585,30 @@ def reference_accelerated_iht(problem, cfg, *, debias, batched=False):
 class TestKernelMatchesReference:
     # A wide problem whose products all use gathered columns (3k <= n / 8),
     # a wide one whose line-search support crosses the 1/8 crossover while
-    # supp(x) and supp(w) stay below it, and a tall one whose products all
-    # read the whole of phi.
-    PROBLEMS = {"wide": (30, 2000, 5), "crossing": (40, 120, 8), "tall": (300, 12, 3)}
+    # supp(x) and supp(w) stay below it, a tall one whose products all read
+    # the whole of phi, and a saturated one (3k > n) where supp(z) leaves
+    # fewer than k candidates for the expansion. Its target is the coreset
+    # one, phi @ 1, whose fit keeps every support full.
+    PROBLEMS = {"wide": (30, 2000, 5), "crossing": (40, 120, 8), "tall": (300, 12, 3),
+                "saturated": (50, 10, 6)}
 
     @pytest.mark.parametrize("shape", sorted(PROBLEMS))
-    @pytest.mark.parametrize("variant", ["aiht", "aiht_debias", "batched_1", "batched_0.2"])
+    @pytest.mark.parametrize("variant", ["aiht", "aiht_debias", "aiht_debias_halved",
+                                         "batched_1", "batched_0.2"])
     def test_bit_identical(self, shape, variant):
         s_dim, n, k = self.PROBLEMS[shape]
-        problem = random_problem(np.random.default_rng(21), s_dim, n, y_scale=3.0)
+        rng = np.random.default_rng(21)
+        if shape == "saturated":
+            problem = SparseRegressionProblem.from_columns(rng.standard_normal((s_dim, n)))
+        else:
+            problem = random_problem(rng, s_dim, n, y_scale=3.0)
         batch_fraction = 0.2 if variant == "batched_0.2" else 1.0
-        cfg = SolverConfig(k=k, max_iters=120, rel_tol=1e-10, batch_fraction=batch_fraction,
-                           rng_seed=4)
-        debias = variant == "aiht_debias"
+        formula = "halved_argmin" if variant.endswith("_halved") else "exact_argmin"
+        cfg = SolverConfig(k=k, max_iters=120, rel_tol=1e-10, momentum_formula=formula,
+                           batch_fraction=batch_fraction, rng_seed=4)
+        debias = variant.startswith("aiht_debias")
         batched = variant.startswith("batched")
-        solver = {"aiht": solve_aiht, "aiht_debias": solve_aiht_debias}.get(
-            variant, solve_aiht_batched)
+        solver = solve_aiht_debias if debias else solve_aiht_batched if batched else solve_aiht
         capture = []
         w, trace = solver(problem, cfg, capture=capture)
         ref_w, ref_records, ref_termination, ref_capture = reference_accelerated_iht(
@@ -620,6 +631,8 @@ class TestKernelMatchesReference:
             assert min(sizes) <= n / 8 < max(sizes)
         elif shape == "wide":
             assert max(sizes) <= n / 8
+        elif shape == "saturated":
+            assert max(np.count_nonzero(c["z"]) for c in capture) > n - k
 
     @pytest.mark.parametrize("solver", [solve_aiht, solve_aiht_debias, solve_aiht_batched])
     def test_one_weight_vector_per_solve(self, solver, monkeypatch):
@@ -636,6 +649,45 @@ class TestKernelMatchesReference:
         _, trace = solver(problem, cfg)
         assert len(trace) > 3
         assert len(made) == 1
+
+    @pytest.mark.parametrize("solver", [solve_aiht, solve_aiht_debias, solve_aiht_batched])
+    def test_no_union1d_per_solve(self, solver, monkeypatch):
+        calls = []
+        union1d = np.union1d
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return union1d(*args, **kwargs)
+
+        monkeypatch.setattr(np, "union1d", counting)
+        problem = random_problem(np.random.default_rng(22), 30, 400, y_scale=3.0)
+        cfg = SolverConfig(k=5, max_iters=30, batch_fraction=0.5)
+        _, trace = solver(problem, cfg)
+        assert len(trace) > 3
+        assert not calls
+
+
+def sorted_indices():
+    return st.sets(st.integers(0, 40), max_size=25).map(
+        lambda s: np.array(sorted(s), dtype=np.int64))
+
+
+class TestSortedUnion:
+    EMPTY = np.zeros(0, dtype=np.int64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sorted_indices(), sorted_indices(), st.sampled_from(["drawn", "equal", "disjoint"]))
+    @example(EMPTY, EMPTY, "drawn")
+    @example(EMPTY, np.array([3, 7]), "drawn")
+    @example(np.array([1, 5]), EMPTY, "drawn")
+    def test_equals_union1d(self, a, b, relation):
+        if relation == "equal":
+            b = a.copy()
+        elif relation == "disjoint":
+            b = np.setdiff1d(b, a)
+        got = _sorted_union(a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.union1d(a, b))
 
 
 class TestTraceSerialization:
