@@ -211,6 +211,24 @@ def _metrics(model: BayesianModel, pi_hat: GaussianDist, weights) -> dict:
             "map_l2": map_l2_distance(pi_hat, coreset)}
 
 
+def _gram_factor(phi: np.ndarray) -> np.ndarray:
+    """The r x n factor B = sqrt(L_r) V_r^T of G = phi^T phi, from its
+    eigenpairs (L, V) with eigenvalue above max(S, n) * eps * L_max (numpy's
+    ``matrix_rank`` tolerance, applied to G); at least one row is kept.
+
+    For y = phi @ 1 and every w, ||y - phi w||^2 = (1 - w)^T G (1 - w), and
+    ||B 1 - B w||^2 differs from it only by the dropped eigenvalues, each at
+    most the tolerance, times ||1 - w||^2. So the problem on B has the
+    objective, gradient and line minima of the S-row one up to rounding, and
+    each product reads r/S as much. A Gaussian experiment's phi has exact
+    rank d + 1: log N(x_i | theta) is quadratic in theta.
+    """
+    lam, vecs = np.linalg.eigh(phi.T @ phi)
+    keep = lam > max(phi.shape) * np.finfo(np.float64).eps * lam[-1]
+    keep[-1] = True  # an all-zero phi (lam_max = 0) still gives one row
+    return (vecs[:, keep] * np.sqrt(lam[keep])).T
+
+
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """All k values for one trial; returns a list of run dicts."""
     runs = []
@@ -223,14 +241,10 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     problem = None
     if cfg.solver != "uniform":
         # The projection and its problem share one S x n array; nothing else
-        # holds it, so a tall problem's is freed once its R factor exists.
+        # holds it, so a tall problem's is freed once its Gram factor exists.
         problem = build_projection(model, pi_hat, cfg.s_count, (cfg.seed, trial, 1)).to_problem()
         if problem.s_dim > problem.n:
-            # Exact, not an approximation: y = phi @ 1 lies in range(phi) =
-            # range(Q) for phi = QR, so ||y - phi w|| = ||R 1 - R w|| for
-            # every w. The n x n problem has the same objective, gradient and
-            # line minima, and each product reads n/s_dim as much.
-            problem = SparseRegressionProblem.from_columns(np.linalg.qr(problem.phi, mode="r"))
+            problem = SparseRegressionProblem.from_columns(_gram_factor(problem.phi))
     for k in cfg.k_list:
         run = {
             "config": cfg.to_dict(),
@@ -283,6 +297,12 @@ def _aggregate(cfg: ExperimentConfig, runs: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    """One line of JSON with sorted keys. Without ``indent`` CPython encodes
+    in C; with it, in pure Python, several times slower."""
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+
+
 @dataclass
 class SweepResult:
     csv_path: Path
@@ -307,8 +327,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     for run in runs:
         name = f"run_{cfg.experiment}_{cfg.solver}_k{run['k']}_t{run['trial']}.json"
         path = outdir / name
-        path.write_text(json.dumps(run, sort_keys=True, indent=1) + "\n",
-                        encoding="utf-8")
+        _write_json(path, run)
         run_paths.append(path)
         if "error" in run:
             failures += 1
@@ -344,8 +363,7 @@ def run_theory_check(cfg: ExperimentConfig) -> Path:
         "report": json.loads(report.to_json()),
     }
     path = outdir / "theory_check.json"
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    _write_json(path, payload)
     return path
 
 
@@ -369,7 +387,7 @@ def run_build(cfg: ExperimentConfig) -> Path:
     if "error" in run:
         raise RuntimeError(run["error"])
     path = outdir / f"build_{cfg.experiment}_{cfg.solver}_k{run['k']}.json"
-    path.write_text(json.dumps(run, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    _write_json(path, run)
     return path
 
 
@@ -419,8 +437,7 @@ def run_evaluate(weights_path, outdir=None) -> dict:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         path = out / (Path(weights_path).stem + "_metrics.json")
-        path.write_text(json.dumps(result, sort_keys=True, indent=1) + "\n",
-                        encoding="utf-8")
+        _write_json(path, result)
     return result
 
 

@@ -20,9 +20,10 @@ the n columns, O(s_dim * k), and reads the whole of ``phi`` otherwise
 (``problem._Columns``); a projection's ``phi`` is column-major, so each
 gathered column is one contiguous copy. So on a wide problem (n >> 8 * 3k)
 an iteration costs about one gradient. A tall problem (s_dim > n) keeps its
-dense products, but a sweep hands the solver the n x n R factor of ``phi``
-in its place, which has the same objective for every w
-(``cli._run_trial``), so each product costs O(n^2), not O(s_dim * n).
+dense products, but a sweep hands the solver the r x n factor of the Gram
+matrix phi^T phi in its place (r its numerical rank, d + 1 for a Gaussian
+experiment), which has the same objective for every w up to rounding
+(``cli._gram_factor``), so each product costs O(r * n), not O(s_dim * n).
 
 Beyond that product an iteration makes O(n) passes over dense n-vectors and
 no more: the two top-k selections (the gradient outside supp(z), and the
@@ -135,6 +136,9 @@ class SolverConfig:
         return DEFAULT_MAX_ITERS_BATCHED if batched else DEFAULT_MAX_ITERS
 
 
+TRACE_FIELDS = ("iter", "f", "mu", "tau", "support", "ns")
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     iter: int
@@ -143,16 +147,6 @@ class TraceRecord:
     tau: float
     support: tuple
     ns: int
-
-    def to_dict(self) -> dict:
-        return {
-            "iter": self.iter,
-            "f": self.f,
-            "mu": self.mu,
-            "tau": self.tau,
-            "support": list(self.support),
-            "ns": self.ns,
-        }
 
 
 @dataclass
@@ -180,17 +174,24 @@ class SolverTrace:
         return SolverTrace(records, self.termination)
 
     def to_dict(self) -> dict:
-        return {
-            "termination": self.termination.value,
-            "records": [r.to_dict() for r in self.records],
-        }
+        """``records`` holds one row per iteration, its values in the order
+        of ``fields``. A row's support is None when it equals the previous
+        row's, so the first row always carries its support."""
+        rows = []
+        previous = None
+        for r in self.records:
+            support = None if r.support == previous else list(r.support)
+            previous = r.support
+            rows.append([r.iter, r.f, r.mu, r.tau, support, r.ns])
+        return {"termination": self.termination.value, "fields": list(TRACE_FIELDS),
+                "records": rows}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("iter,f,mu,tau,support,ns\n")
+        buf.write(",".join(TRACE_FIELDS) + "\n")
         for r in self.records:
             support = ";".join(str(i) for i in r.support)
             buf.write(f"{r.iter},{r.f!r},{r.mu!r},{r.tau!r},{support},{r.ns}\n")

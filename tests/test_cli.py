@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import coreset_iht
-from coreset_iht import EnumerationBudgetError, cli, load_csv_dataset, models
+from coreset_iht import EnumerationBudgetError, cli, gradient, load_csv_dataset, models, objective
 from coreset_iht.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -96,6 +96,13 @@ class TestSweep:
         second = run_sweep(cfg)
         for p in (second.csv_path, *second.run_paths):
             assert p.read_bytes() == blobs[p.name]
+
+    def test_run_outputs_are_one_line_of_sorted_json(self, tmp_path):
+        result = run_sweep(tiny_config(tmp_path, k_list=[4], trials=1))
+        (path,) = result.run_paths
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     def test_two_experiments_share_an_outdir(self, tmp_path):
         # Run files are named by experiment too, so a second sweep with the
@@ -190,8 +197,8 @@ def perfbench_tracing():
 
 class TestProblemSeam:
     """What ``_run_trial`` hands the solver: a tall problem (s_dim > n) is
-    replaced by the one on the n x n R factor of its ``phi``; a wide one is
-    the ``ProjectionSet.to_problem`` problem itself."""
+    replaced by the one on the rank-r factor of its ``phi``'s Gram matrix; a
+    wide one is the ``ProjectionSet.to_problem`` problem itself."""
 
     @staticmethod
     def record(monkeypatch, solver_name):
@@ -212,12 +219,44 @@ class TestProblemSeam:
         monkeypatch.setattr(cli, solver_name, recording_solve)
         return built, solved
 
-    def test_tall_sweep_solves_on_n_rows(self, tmp_path, monkeypatch):
+    def test_tall_sweep_solves_on_the_gram_factor(self, tmp_path, monkeypatch):
         built, solved = self.record(monkeypatch, "solve_aiht")
         cfg = tiny_config(tmp_path)  # S = 100 > n = 20
         assert run_sweep(cfg).failures == 0
         assert [p.phi.shape for p in built] == [(100, 20)] * cfg.trials
-        assert [p.phi.shape for p in solved] == [(20, 20)] * (cfg.trials * len(cfg.k_list))
+        # A Gaussian phi has rank d + 1: the log-density is quadratic in theta.
+        expected = [(cfg.dim + 1, cfg.n_data)] * (cfg.trials * len(cfg.k_list))
+        assert [p.phi.shape for p in solved] == expected
+
+    def test_gram_factor_matches_the_paper_problem(self, tmp_path, monkeypatch):
+        built, solved = self.record(monkeypatch, "solve_aiht_debias")
+        cfg = tiny_config(tmp_path, solver="aiht_debias", k_list=[30], trials=3,
+                          dim=20, n_data=100, s_count=2000)
+        assert run_sweep(cfg).failures == 0
+        rng = np.random.default_rng(0)
+        for full, factor in zip(built, solved):
+            assert factor.phi.shape == (21, 100)
+            y_sq = float(full.y @ full.y)
+            for _ in range(5):
+                w = rng.uniform(0.0, 3.0, 100) * (rng.random(100) < 0.3)
+                assert abs(objective(factor, w) - objective(full, w)) <= 1e-10 * y_sq
+                assert np.max(np.abs(gradient(factor, w) - gradient(full, w))) <= 1e-10 * y_sq
+
+    def test_all_zero_tall_problem_keeps_one_row(self, tmp_path, monkeypatch):
+        # A feature that is zero everywhere leaves every log-likelihood
+        # constant in theta, so the tall phi is all zeros and its Gram
+        # matrix has no positive eigenvalue.
+        data_path = tmp_path / "zero.csv"
+        data_path.write_text("x0,y\n0,1.0\n0,2.0\n0,0.5\n0,-1.0\n")
+        _, solved = self.record(monkeypatch, "solve_aiht_debias")
+        rc = main(["sweep", "--experiment", "csv", "--csv-path", str(data_path),
+                   "--csv-kind", "linear_regression", "--s-count", "50", "--k", "2",
+                   "--solver", "aiht_debias", "--outdir", str(tmp_path / "out"),
+                   "--no-timing"])
+        assert rc == 0
+        assert [p.phi.shape for p in solved] == [(1, 4)]
+        (run_path,) = (tmp_path / "out").glob("run_*.json")
+        assert json.loads(run_path.read_text())["objective"] == 0.0
 
     def test_wide_sweep_solves_the_projection_problem(self, tmp_path, monkeypatch):
         built, solved = self.record(monkeypatch, "solve_aiht")

@@ -525,7 +525,10 @@ class TestBlockedBuild:
 class TestRFactorProblem:
     """A tall coreset problem (s_dim > n) and the one built on the n x n R
     factor of its ``phi`` agree for every w, because y = phi @ 1 lies in
-    range(phi) = range(Q): ||y - phi w|| = ||R 1 - R w||. Sweeps rely on it."""
+    range(phi) = range(Q): ||y - phi w|| = ||R 1 - R w||. Sweeps solve on
+    the smaller Gram factor instead (``cli._gram_factor``, checked in
+    ``tests/test_cli.py``); the same argument makes it exact up to the
+    eigenvalues it drops."""
 
     @staticmethod
     def assert_close(actual, expected):

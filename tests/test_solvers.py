@@ -696,7 +696,28 @@ class TestTraceSerialization:
         _, trace = solve_aiht(problem, SolverConfig(k=2, max_iters=5))
         payload = json.loads(trace.to_json())
         assert payload["termination"] in ("converged", "max_iters", "stalled")
-        assert list(payload["records"][0]) == ["iter", "f", "mu", "tau", "support", "ns"]
+        assert payload["fields"] == ["iter", "f", "mu", "tau", "support", "ns"]
+        assert len(payload["records"]) == len(trace)
+        assert all(len(row) == len(payload["fields"]) for row in payload["records"])
+
+    def test_records_decode_to_the_trace(self):
+        # k = 4 here: the support changes at iteration 1, stays the same for
+        # five iterations, then changes again.
+        problem, _ = small_recovery_instance()
+        _, trace = solve_aiht(problem, SolverConfig(k=4, max_iters=10))
+        payload = json.loads(trace.to_json())
+        rows = payload["records"]
+        assert rows[0][4] is not None
+        carried = [row[4] is None for row in rows]
+        assert carried[:8] == [False, False, True, True, True, True, True, False]
+        decoded, support = [], None
+        for row in rows:
+            values = dict(zip(payload["fields"], row))
+            if values["support"] is None:
+                values["support"] = support
+            support = values["support"]
+            decoded.append(TraceRecord(**dict(values, support=tuple(support))))
+        assert decoded == trace.records
 
     def test_dict_is_the_parsed_json(self):
         problem, _ = small_recovery_instance()
