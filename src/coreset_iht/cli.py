@@ -26,6 +26,7 @@ from .evaluation import (
     map_l2_distance,
 )
 from .models import (
+    PROJECTION_BLOCK,
     BayesianModel,
     Dataset,
     GaussianDist,
@@ -211,22 +212,78 @@ def _metrics(model: BayesianModel, pi_hat: GaussianDist, weights) -> dict:
             "map_l2": map_l2_distance(pi_hat, coreset)}
 
 
-def _gram_factor(phi: np.ndarray) -> np.ndarray:
-    """The r x n factor B = sqrt(L_r) V_r^T of G = phi^T phi, from its
-    eigenpairs (L, V) with eigenvalue above max(S, n) * eps * L_max (numpy's
-    ``matrix_rank`` tolerance, applied to G); at least one row is kept.
+# A wide phi is solved on its factor only while the factor has at most
+# 1/_WIDE_ROW_REDUCTION of phi's rows: the factor must at least halve every
+# product to pay for itself. A full-rank phi (radial-basis: r = 499 of 500)
+# is kept as it is.
+_WIDE_ROW_REDUCTION = 2
 
-    For y = phi @ 1 and every w, ||y - phi w||^2 = (1 - w)^T G (1 - w), and
-    ||B 1 - B w||^2 differs from it only by the dropped eigenvalues, each at
-    most the tolerance, times ||1 - w||^2. So the problem on B has the
-    objective, gradient and line minima of the S-row one up to rounding, and
-    each product reads r/S as much. A Gaussian experiment's phi has exact
-    rank d + 1: log N(x_i | theta) is quadratic in theta.
+
+def _pivoted_cholesky(g: np.ndarray, tol: float, max_rows: int):
+    """The r x m rows Lᵀ of a partial pivoted Cholesky factor G ≈ L Lᵀ of the
+    m x m positive semidefinite ``g``, or None when r would exceed
+    ``max_rows``.
+
+    Each step pivots on the largest residual diagonal (the lowest index on a
+    tie) and stops once that diagonal is at most ``tol``; G - L Lᵀ is then
+    positive semidefinite with trace at most m * tol. At least one row is
+    made, so a zero ``g`` gives one zero row. Only ``g`` and the rows are
+    held: no eigendecomposition workspace (Harbrecht, Peters & Schneider,
+    Appl. Numer. Math. 62(4), 2012).
     """
-    lam, vecs = np.linalg.eigh(phi.T @ phi)
-    keep = lam > max(phi.shape) * np.finfo(np.float64).eps * lam[-1]
-    keep[-1] = True  # an all-zero phi (lam_max = 0) still gives one row
-    return (vecs[:, keep] * np.sqrt(lam[keep])).T
+    m = g.shape[0]
+    rows = np.zeros((min(max_rows, m), m))
+    d = g.diagonal().copy()
+    for j in range(m):
+        p = int(np.argmax(d))
+        if j > 0 and d[p] <= tol:
+            return rows[:j]
+        if j == max_rows:
+            return None
+        if d[p] > 0.0:  # else g is zero and row 0 stays zero
+            rows[j] = (g[p] - rows[:j, p] @ rows[:j]) / np.sqrt(d[p])
+            d -= rows[j] * rows[j]
+            d[p] = 0.0
+    return rows
+
+
+def _gram_factor(phi: np.ndarray):
+    """An r x n factor B with BᵀB ≈ phiᵀphi, column-major, or None when a
+    wide ``phi`` (S <= n) has more than S / _WIDE_ROW_REDUCTION numerical
+    rank and should be solved as it is.
+
+    A partial pivoted Cholesky G ≈ L Lᵀ of the smaller Gram matrix, phiᵀphi
+    (tall) or phi phiᵀ (wide), stops at residual diagonals of at most
+    max(S, n) * eps * max diag(G). Tall: B = Lᵀ. Wide: B = Qᵀ phi, Q an
+    orthonormal basis of range(L). For y = phi @ 1 and every w,
+    ||y - phi w||^2 = (1 - w)ᵀ phiᵀphi (1 - w), and ||B 1 - B w||^2 differs
+    from it by at most trace(G - L Lᵀ) * ||1 - w||^2. So the problem on B has
+    the objective, gradient and line minima of the S-row one up to rounding,
+    and each product reads r/S as much. A Gaussian experiment's phi has exact
+    rank d + 1, since log N(x_i | theta) is quadratic in theta; a GLM's
+    log-likelihoods are smooth in a low-dimensional theta, so their singular
+    values decay fast.
+    """
+    s_dim, n = phi.shape
+    tall = s_dim > n
+    g = phi.T @ phi if tall else phi @ phi.T
+    tol = max(s_dim, n) * np.finfo(np.float64).eps * float(g.diagonal().max())
+    rows = _pivoted_cholesky(g, tol, n if tall else s_dim // _WIDE_ROW_REDUCTION)
+    del g  # freed before the r x n product below
+    if rows is None:
+        return None
+    if tall:
+        factor = np.asfortranarray(rows)
+    else:
+        q = np.linalg.qr(rows.T)[0]
+        # Column-major, as the projection is, so gathered columns are
+        # contiguous; filled in column blocks, so no second r x n copy is held.
+        factor = np.empty((q.shape[1], n), order="F")
+        for start in range(0, n, PROJECTION_BLOCK):
+            block = slice(start, start + PROJECTION_BLOCK)
+            factor[:, block] = q.T @ phi[:, block]
+    factor.setflags(write=False)  # so the problem built on it shares it
+    return factor
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
@@ -241,10 +298,11 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     problem = None
     if cfg.solver != "uniform":
         # The projection and its problem share one S x n array; nothing else
-        # holds it, so a tall problem's is freed once its Gram factor exists.
+        # holds it, so it is freed once a Gram factor replaces it.
         problem = build_projection(model, pi_hat, cfg.s_count, (cfg.seed, trial, 1)).to_problem()
-        if problem.s_dim > problem.n:
-            problem = SparseRegressionProblem.from_columns(_gram_factor(problem.phi))
+        factor = _gram_factor(problem.phi)
+        if factor is not None:
+            problem = SparseRegressionProblem.from_columns(factor)
     for k in cfg.k_list:
         run = {
             "config": cfg.to_dict(),

@@ -140,10 +140,15 @@ class _Columns:
     n columns; a product then costs O(s_dim * |idx|). Otherwise every product
     reads the whole of ``phi``, exactly as the dense expression would. The
     crossover is measured on a column-major ``phi``, the layout of a
-    projection's problem, where each gathered column is one contiguous copy.
-    On a 2-vCPU machine, gathering 625 of 5000 columns (1/8) of a 500-row
-    ``phi`` and multiplying took 330 us against 480 us for a dense product;
-    with 1000 columns, 125 took 23 us against 80 us, and 300 took 89 us.
+    projection's problem and of the Gram factor a sweep solves on, where
+    each gathered column is one contiguous copy. On a 2-vCPU machine,
+    gathering 625 of 5000 columns (1/8) of a 500-row ``phi`` and multiplying
+    took 330 us against 480 us for a dense product; with 1000 columns, 125
+    took 23 us against 80 us, and 300 took 89 us (radial-basis still solves
+    on such a ``phi``). On the 32 x 5000 logistic-wide factor, 625 columns
+    took 18-23 us against 29-31 us dense, and 1250 took 30-38 us, about even;
+    on the 21 x 100 gaussian-paper factor, 12 columns took 2.4-4.4 us against
+    1.3-1.9 us dense, since a call's overhead outweighs the product there.
     From a C-order ``phi`` the same gathers cost 3-8x more; the products are
     the same.
     """

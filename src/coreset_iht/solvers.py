@@ -19,11 +19,13 @@ product multiplies only the gathered columns when they are at most 1/8 of
 the n columns, O(s_dim * k), and reads the whole of ``phi`` otherwise
 (``problem._Columns``); a projection's ``phi`` is column-major, so each
 gathered column is one contiguous copy. So on a wide problem (n >> 8 * 3k)
-an iteration costs about one gradient. A tall problem (s_dim > n) keeps its
-dense products, but a sweep hands the solver the r x n factor of the Gram
-matrix phi^T phi in its place (r its numerical rank, d + 1 for a Gaussian
-experiment), which has the same objective for every w up to rounding
-(``cli._gram_factor``), so each product costs O(r * n), not O(s_dim * n).
+an iteration costs about one gradient. A sweep hands the solver an r x n
+factor B with B^T B = phi^T phi up to rounding in place of ``phi``, tall or
+wide, where r is the numerical rank: d + 1 for a Gaussian experiment, about
+30 of 500 rows for the logistic and Poisson ones at n = 5000. The problem on
+B has the same objective for every w up to rounding (``cli._gram_factor``),
+so each product costs O(r * n), not O(s_dim * n). A wide ``phi`` whose rank
+is above s_dim / 2 (radial-basis) is solved as it is.
 
 Beyond that product an iteration makes O(n) passes over dense n-vectors and
 no more: the two top-k selections (the gradient outside supp(z), and the
@@ -40,9 +42,11 @@ are joined by ``_sorted_union``, not ``np.union1d``, and the kernel passes
 its own index arrays to the unchecked cores of ``project_topk_excluding``
 and ``restrict``. With that per-call overhead gone, the median iteration on
 radial-basis (s_dim = 500, n = 1000) fell from 440 to 348 us against a
-90-97 us gradient, on logistic-wide (n = 5000) from 1111 to 935 us against
-527-548 us, and on gaussian-paper's 100 x 100 R factor from 167 to 96 us
-(perfbench ``--trace 1``, seed 29, 2 vCPUs).
+90-97 us gradient (perfbench ``--trace 1``, seed 29, 2 vCPUs). On the
+factors, at seed 0, a logistic-wide iteration (32 x 5000) takes about 206 us
+against a 55 us gradient, and a gaussian-paper one (21 x 100) about 82 us
+against a 9 us gradient: what is left is the O(n) passes and the per-call
+overhead of the numpy calls.
 
 ``solve_aiht_batched`` swaps the exact gradient for an unbiased two-mask
 stochastic estimator so large problems can run on data batches. Along a

@@ -196,9 +196,10 @@ def perfbench_tracing():
 
 
 class TestProblemSeam:
-    """What ``_run_trial`` hands the solver: a tall problem (s_dim > n) is
-    replaced by the one on the rank-r factor of its ``phi``'s Gram matrix; a
-    wide one is the ``ProjectionSet.to_problem`` problem itself."""
+    """What ``_run_trial`` hands the solver: the problem on the rank-r factor
+    of its ``phi``'s Gram matrix, tall or wide, unless a wide ``phi`` has
+    rank above S/2; then it is the ``ProjectionSet.to_problem`` problem
+    itself."""
 
     @staticmethod
     def record(monkeypatch, solver_name):
@@ -242,28 +243,46 @@ class TestProblemSeam:
                 assert abs(objective(factor, w) - objective(full, w)) <= 1e-10 * y_sq
                 assert np.max(np.abs(gradient(factor, w) - gradient(full, w))) <= 1e-10 * y_sq
 
-    def test_all_zero_tall_problem_keeps_one_row(self, tmp_path, monkeypatch):
-        # A feature that is zero everywhere leaves every log-likelihood
-        # constant in theta, so the tall phi is all zeros and its Gram
-        # matrix has no positive eigenvalue.
+    def zero_feature_sweep(self, tmp_path, monkeypatch, rows):
+        """(shapes solved on, objective) of a linear-regression CSV sweep at
+        S = 50 whose one feature is zero on all ``rows`` rows: every
+        log-likelihood is constant in theta, so phi and its Gram matrix are
+        zero and the factorisation has no pivot."""
         data_path = tmp_path / "zero.csv"
-        data_path.write_text("x0,y\n0,1.0\n0,2.0\n0,0.5\n0,-1.0\n")
+        data_path.write_text("x0,y\n" + "".join(f"0,{i % 7 - 3.0}\n" for i in range(rows)))
         _, solved = self.record(monkeypatch, "solve_aiht_debias")
         rc = main(["sweep", "--experiment", "csv", "--csv-path", str(data_path),
                    "--csv-kind", "linear_regression", "--s-count", "50", "--k", "2",
                    "--solver", "aiht_debias", "--outdir", str(tmp_path / "out"),
                    "--no-timing"])
         assert rc == 0
-        assert [p.phi.shape for p in solved] == [(1, 4)]
         (run_path,) = (tmp_path / "out").glob("run_*.json")
-        assert json.loads(run_path.read_text())["objective"] == 0.0
+        return [p.phi.shape for p in solved], json.loads(run_path.read_text())["objective"]
+
+    def test_all_zero_tall_problem_keeps_one_row(self, tmp_path, monkeypatch):
+        assert self.zero_feature_sweep(tmp_path, monkeypatch, 4) == ([(1, 4)], 0.0)
+
+    def test_all_zero_wide_problem_keeps_one_row(self, tmp_path, monkeypatch):
+        assert self.zero_feature_sweep(tmp_path, monkeypatch, 80) == ([(1, 80)], 0.0)
+
+    def test_low_rank_wide_sweep_solves_on_the_gram_factor(self, tmp_path, monkeypatch):
+        built, solved = self.record(monkeypatch, "solve_aiht")
+        cfg = tiny_config(tmp_path, experiment="logistic", dim=2, n_data=400, s_count=200)
+        assert run_sweep(cfg).failures == 0
+        assert [p.phi.shape for p in built] == [(200, 400)] * cfg.trials
+        assert len(solved) == cfg.trials * len(cfg.k_list)
+        for problem in solved:
+            assert problem.s_dim <= cfg.s_count // 2 and problem.n == cfg.n_data
+            assert problem.phi.flags.f_contiguous
 
     def test_wide_sweep_solves_the_projection_problem(self, tmp_path, monkeypatch):
+        # A radial-basis phi has full numerical rank, so a factor would not
+        # halve its products.
         built, solved = self.record(monkeypatch, "solve_aiht")
-        cfg = tiny_config(tmp_path, experiment="logistic", dim=2, n_data=200, s_count=60)
+        cfg = tiny_config(tmp_path, experiment="radial_basis", n_data=120, s_count=60,
+                          basis_scales=[0.5, 1.0], per_scale_count=20)
         assert run_sweep(cfg).failures == 0
         assert len(built) == cfg.trials
-        assert all(p.s_dim == cfg.s_count for p in solved)
         ks = len(cfg.k_list)
         assert all(solved[i] is built[i // ks] for i in range(len(solved)))
 

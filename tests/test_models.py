@@ -30,7 +30,7 @@ from coreset_iht import (
     synth_glm_dataset,
     synth_radial_basis_model,
 )
-from coreset_iht import models
+from coreset_iht import cli, models
 from coreset_iht.models import CONJUGATE_KINDS, MODEL_KINDS
 from conftest import radial_basis_prior_and_posterior
 
@@ -522,46 +522,92 @@ class TestBlockedBuild:
             build_projection(model, pi_hat, self.S, (5, 0, 1))
 
 
-class TestRFactorProblem:
-    """A tall coreset problem (s_dim > n) and the one built on the n x n R
-    factor of its ``phi`` agree for every w, because y = phi @ 1 lies in
-    range(phi) = range(Q): ||y - phi w|| = ||R 1 - R w||. Sweeps solve on
-    the smaller Gram factor instead (``cli._gram_factor``, checked in
-    ``tests/test_cli.py``); the same argument makes it exact up to the
-    eigenvalues it drops."""
+def coreset_problem(kind, dim, n, s_count, seed=7):
+    """The S-row problem of one sweep trial's projection."""
+    if kind == "gaussian":
+        model, _ = synth_gaussian_dataset(dim, n, (seed, 0, 0))
+    elif kind == "radial_basis":
+        model = synth_radial_basis_model(n, [0.5, 1.0], 20, (seed, 0, 0))
+    else:
+        model = synth_glm_dataset(kind, n, dim, (seed, 0, 0))
+    return build_projection(model, full_data_posterior(model), s_count,
+                            (seed, 0, 1)).to_problem()
 
-    @staticmethod
-    def assert_close(actual, expected):
-        err = np.linalg.norm(np.subtract(actual, expected))
-        assert err <= 1e-12 * np.linalg.norm(expected), (actual, expected)
+
+class TestGramFactor:
+    """A coreset problem and the one a sweep solves on its factor
+    (``cli._gram_factor``) agree for every w up to rounding: y = phi @ 1, so
+    ||y - phi w||^2 = (1 - w)^T phi^T phi (1 - w), and phi^T phi - B^T B is
+    positive semidefinite with trace at most m * max(S, n) * eps * max diag
+    of the smaller, m x m, Gram matrix."""
 
     @pytest.mark.parametrize("kind,dim,n,s_count", [
         ("gaussian", 3, 20, 100), ("gaussian", 20, 100, 2000),
-        ("logistic", 2, 20, 100), ("logistic", 2, 100, 2000)])
+        ("logistic", 2, 20, 100), ("logistic", 2, 100, 2000),
+        ("logistic", 2, 5000, 500), ("poisson", 2, 5000, 500)])
     def test_matches_full_problem(self, kind, dim, n, s_count):
+        full = coreset_problem(kind, dim, n, s_count)
+        factor = cli._gram_factor(full.phi)
+        small = SparseRegressionProblem.from_columns(factor)
+        assert small.phi.flags.f_contiguous
+        if s_count <= n:
+            assert small.s_dim <= s_count // 2
         if kind == "gaussian":
-            model, _ = synth_gaussian_dataset(dim, n, (7, 0, 0))
-        else:
-            model = synth_glm_dataset(kind, n, dim, (7, 0, 0))
-        full = build_projection(model, full_data_posterior(model), s_count,
-                                (7, 0, 1)).to_problem()
-        small = SparseRegressionProblem.from_columns(np.linalg.qr(full.phi, mode="r"))
-        assert small.phi.shape == (n, n)
+            assert small.s_dim == dim + 1  # log N(x_i | theta) is quadratic in theta
+        tol = 1e-10 * float(full.y @ full.y)
         rng = np.random.default_rng(11)
         for _ in range(5):
             w, w_prev = np.zeros(n), np.zeros(n)
             w[rng.choice(n, n // 5, replace=False)] = rng.uniform(0.0, 2.0, n // 5)
             w_prev[rng.choice(n, n // 5, replace=False)] = rng.uniform(0.0, 2.0, n // 5)
-            self.assert_close(objective(small, w), objective(full, w))
+            assert abs(objective(small, w) - objective(full, w)) <= tol
             grad = gradient(full, w)
-            self.assert_close(gradient(small, w), grad)
+            np.testing.assert_allclose(gradient(small, w), grad, rtol=0, atol=tol)
             direction = restrict(grad, np.flatnonzero(w))
-            self.assert_close(line_search_step(small, direction),
-                              line_search_step(full, direction))
-            self.assert_close(momentum_coefficient(small, w, w_prev),
-                              momentum_coefficient(full, w, w_prev))
-            self.assert_close(stochastic_gradient(small, w, 1.0, np.random.default_rng(3)),
-                              stochastic_gradient(full, w, 1.0, np.random.default_rng(3)))
+            assert abs(line_search_step(small, direction)
+                       - line_search_step(full, direction)) <= tol
+            assert abs(momentum_coefficient(small, w, w_prev)
+                       - momentum_coefficient(full, w, w_prev)) <= tol
+            np.testing.assert_allclose(
+                stochastic_gradient(small, w, 1.0, np.random.default_rng(3)),
+                stochastic_gradient(full, w, 1.0, np.random.default_rng(3)), rtol=0, atol=tol)
+
+    def test_full_rank_wide_problem_is_kept(self):
+        full = coreset_problem("radial_basis", 0, 120, 60)  # rank 59 of 60
+        assert cli._gram_factor(full.phi) is None
+
+
+class TestPivotedCholesky:
+    @staticmethod
+    def planted(m, rank, seed=0):
+        a = np.random.default_rng(seed).standard_normal((m, rank))
+        return a @ a.T
+
+    @staticmethod
+    def tol(g):
+        return g.shape[0] * EPS * float(g.diagonal().max())
+
+    @pytest.mark.parametrize("rank", [1, 5, 12])
+    def test_planted_rank(self, rank):
+        g = self.planted(12, rank)
+        rows = cli._pivoted_cholesky(g, self.tol(g), 12)
+        assert rows.shape == (rank, 12)
+        np.testing.assert_allclose(rows.T @ rows, g, rtol=0, atol=1e-12 * np.abs(g).max())
+
+    def test_gives_up_exactly_past_the_limit(self):
+        g = self.planted(12, 5)
+        assert cli._pivoted_cholesky(g, self.tol(g), 5).shape == (5, 12)
+        assert cli._pivoted_cholesky(g, self.tol(g), 4) is None
+
+    def test_equal_diagonals_pivot_on_the_lowest_index(self):
+        g = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        rows = cli._pivoted_cholesky(g, self.tol(g), 3)
+        np.testing.assert_array_equal(rows[0], g[0] / np.sqrt(2.0))
+        assert rows.tobytes() == cli._pivoted_cholesky(g, self.tol(g), 3).tobytes()
+
+    def test_zero_matrix_gives_one_zero_row(self):
+        rows = cli._pivoted_cholesky(np.zeros((4, 4)), 0.0, 4)
+        assert rows.shape == (1, 4) and not rows.any()
 
 
 class TestConjugatePosterior:
