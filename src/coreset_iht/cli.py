@@ -26,7 +26,6 @@ from .evaluation import (
     map_l2_distance,
 )
 from .models import (
-    PROJECTION_BLOCK,
     BayesianModel,
     Dataset,
     GaussianDist,
@@ -39,9 +38,8 @@ from .models import (
     synth_glm_dataset,
     synth_radial_basis_model,
 )
-from .problem import SparseRegressionProblem, WeightVector
+from .problem import WeightVector
 from .solvers import (
-    MOMENTUM_FORMULAS,
     SolverConfig,
     solve_aiht,
     solve_aiht_batched,
@@ -87,7 +85,6 @@ class ExperimentConfig:
     csv_kind: str = ""
     max_iters: int = 0            # 0 = solver default
     rel_tol: float = 1e-5
-    momentum_formula: str = "exact_argmin"
     batch_fraction: float = 0.2
     vanilla_step: float = 0.0     # required > 0 only for the vanilla solver
     record_timing: bool = True
@@ -116,8 +113,8 @@ class ExperimentConfig:
         if self.experiment == "csv" and not self.csv_path:
             raise ValueError("csv experiment needs csv_path")
         _solver_config(self, self.k_list[0], 0)  # rejects bad solver settings before any run
-        if self.solver == "vanilla" and not self.vanilla_step > 0:
-            raise ValueError("vanilla solver needs vanilla_step > 0")
+        if self.solver == "vanilla" and not 0 < self.vanilla_step < np.inf:
+            raise ValueError("vanilla solver needs vanilla_step > 0 and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -175,7 +172,6 @@ def _solver_config(cfg: ExperimentConfig, k: int, trial: int) -> SolverConfig:
         k=k,
         max_iters=cfg.max_iters or None,
         rel_tol=cfg.rel_tol,
-        momentum_formula=cfg.momentum_formula,
         batch_fraction=cfg.batch_fraction,
         rng_seed=cfg.seed + trial,
     )
@@ -212,80 +208,6 @@ def _metrics(model: BayesianModel, pi_hat: GaussianDist, weights) -> dict:
             "map_l2": map_l2_distance(pi_hat, coreset)}
 
 
-# A wide phi is solved on its factor only while the factor has at most
-# 1/_WIDE_ROW_REDUCTION of phi's rows: the factor must at least halve every
-# product to pay for itself. A full-rank phi (radial-basis: r = 499 of 500)
-# is kept as it is.
-_WIDE_ROW_REDUCTION = 2
-
-
-def _pivoted_cholesky(g: np.ndarray, tol: float, max_rows: int):
-    """The r x m rows Lᵀ of a partial pivoted Cholesky factor G ≈ L Lᵀ of the
-    m x m positive semidefinite ``g``, or None when r would exceed
-    ``max_rows``.
-
-    Each step pivots on the largest residual diagonal (the lowest index on a
-    tie) and stops once that diagonal is at most ``tol``; G - L Lᵀ is then
-    positive semidefinite with trace at most m * tol. At least one row is
-    made, so a zero ``g`` gives one zero row. Only ``g`` and the rows are
-    held: no eigendecomposition workspace (Harbrecht, Peters & Schneider,
-    Appl. Numer. Math. 62(4), 2012).
-    """
-    m = g.shape[0]
-    rows = np.zeros((min(max_rows, m), m))
-    d = g.diagonal().copy()
-    for j in range(m):
-        p = int(np.argmax(d))
-        if j > 0 and d[p] <= tol:
-            return rows[:j]
-        if j == max_rows:
-            return None
-        if d[p] > 0.0:  # else g is zero and row 0 stays zero
-            rows[j] = (g[p] - rows[:j, p] @ rows[:j]) / np.sqrt(d[p])
-            d -= rows[j] * rows[j]
-            d[p] = 0.0
-    return rows
-
-
-def _gram_factor(phi: np.ndarray):
-    """An r x n factor B with BᵀB ≈ phiᵀphi, column-major, or None when a
-    wide ``phi`` (S <= n) has more than S / _WIDE_ROW_REDUCTION numerical
-    rank and should be solved as it is.
-
-    A partial pivoted Cholesky G ≈ L Lᵀ of the smaller Gram matrix, phiᵀphi
-    (tall) or phi phiᵀ (wide), stops at residual diagonals of at most
-    max(S, n) * eps * max diag(G). Tall: B = Lᵀ. Wide: B = Qᵀ phi, Q an
-    orthonormal basis of range(L). For y = phi @ 1 and every w,
-    ||y - phi w||^2 = (1 - w)ᵀ phiᵀphi (1 - w), and ||B 1 - B w||^2 differs
-    from it by at most trace(G - L Lᵀ) * ||1 - w||^2. So the problem on B has
-    the objective, gradient and line minima of the S-row one up to rounding,
-    and each product reads r/S as much. A Gaussian experiment's phi has exact
-    rank d + 1, since log N(x_i | theta) is quadratic in theta; a GLM's
-    log-likelihoods are smooth in a low-dimensional theta, so their singular
-    values decay fast.
-    """
-    s_dim, n = phi.shape
-    tall = s_dim > n
-    g = phi.T @ phi if tall else phi @ phi.T
-    tol = max(s_dim, n) * np.finfo(np.float64).eps * float(g.diagonal().max())
-    rows = _pivoted_cholesky(g, tol, n if tall else s_dim // _WIDE_ROW_REDUCTION)
-    del g  # freed before the r x n product below
-    if rows is None:
-        return None
-    if tall:
-        factor = np.asfortranarray(rows)
-    else:
-        q = np.linalg.qr(rows.T)[0]
-        # Column-major, as the projection is, so gathered columns are
-        # contiguous; filled in column blocks, so no second r x n copy is held.
-        factor = np.empty((q.shape[1], n), order="F")
-        for start in range(0, n, PROJECTION_BLOCK):
-            block = slice(start, start + PROJECTION_BLOCK)
-            factor[:, block] = q.T @ phi[:, block]
-    factor.setflags(write=False)  # so the problem built on it shares it
-    return factor
-
-
 def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     """All k values for one trial; returns a list of run dicts."""
     runs = []
@@ -297,12 +219,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     pi_hat = full_data_posterior(model)
     problem = None
     if cfg.solver != "uniform":
-        # The projection and its problem share one S x n array; nothing else
-        # holds it, so it is freed once a Gram factor replaces it.
         problem = build_projection(model, pi_hat, cfg.s_count, (cfg.seed, trial, 1)).to_problem()
-        factor = _gram_factor(problem.phi)
-        if factor is not None:
-            problem = SparseRegressionProblem.from_columns(factor)
     for k in cfg.k_list:
         run = {
             "config": cfg.to_dict(),
@@ -514,7 +431,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--outdir")
     parser.add_argument("--rel-tol", type=float, dest="rel_tol")
     parser.add_argument("--max-iters", type=int, dest="max_iters")
-    parser.add_argument("--momentum", choices=MOMENTUM_FORMULAS, dest="momentum_formula")
     parser.add_argument("--batch-fraction", type=float, dest="batch_fraction")
     parser.add_argument("--step", type=float, dest="vanilla_step")
     parser.add_argument("--csv-path", dest="csv_path")

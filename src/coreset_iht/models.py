@@ -18,9 +18,11 @@ only on the data rows with a positive weight, so a fit on a k-point coreset
 touches k rows, not N.
 
 ``build_projection`` turns a model plus a weighting distribution into the
-finite-dimensional sparse regression problem: column i holds the centered,
-1/sqrt(S)-scaled log-likelihood evaluations of data point i at S posterior
-samples.
+finite-dimensional projection: column i holds the centered, 1/sqrt(S)-scaled
+log-likelihood evaluations of data point i at S posterior samples.
+``ProjectionSet.to_problem`` makes the sparse regression problem from it, on
+the rank-r factor of its Gram matrix unless a wide projection has rank above
+S/2.
 """
 
 from __future__ import annotations
@@ -162,9 +164,7 @@ def _validate_labels(kind: str, y: np.ndarray) -> None:
 class BayesianModel:
     """A model kind, its data, a Gaussian prior, and kind-specific parameters.
 
-    ``basis_means``/``basis_scales`` are metadata for radial-basis regression
-    models; the feature matrix in ``dataset.x`` is already expanded. The
-    prior precision, and for Poisson models log y_i!, are derived once.
+    The prior precision, and for Poisson models log y_i!, are derived once.
     """
 
     kind: str
@@ -172,8 +172,6 @@ class BayesianModel:
     prior: GaussianDist
     noise_var: Optional[float] = None
     obs_cov: Optional[np.ndarray] = None
-    basis_means: Optional[np.ndarray] = None
-    basis_scales: Optional[np.ndarray] = None
     obs_prec: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     prior_prec: np.ndarray = field(init=False, repr=False)
     log_factorial_y: Optional[np.ndarray] = field(init=False, repr=False, default=None)
@@ -201,20 +199,12 @@ class BayesianModel:
             raise ValueError(
                 f"prior dimension {self.prior.dim} does not match parameter dimension {self.theta_dim}")
         object.__setattr__(self, "prior_prec", _frozen_array(self.prior.precision()))
-        if self.basis_means is not None:
-            object.__setattr__(self, "basis_means", _frozen_array(self.basis_means))
-        if self.basis_scales is not None:
-            object.__setattr__(self, "basis_scales", _frozen_array(self.basis_scales))
 
     @property
     def theta_dim(self) -> int:
         if self.kind in ("logistic", "poisson"):
             return self.dataset.d + 1
         return self.dataset.d
-
-    def design(self) -> np.ndarray:
-        """GLM design matrix: features with an appended intercept column."""
-        return _with_intercept(self.dataset.x)
 
     # -- log likelihoods -------------------------------------------------
 
@@ -346,15 +336,88 @@ def _max_abs(a: np.ndarray) -> np.ndarray:
     return np.maximum(a.max(axis=0), -a.min(axis=0))
 
 
+# A wide phi is solved on its factor only while the factor has at most
+# 1/_WIDE_ROW_REDUCTION of phi's rows: the factor must at least halve every
+# product to pay for itself. A full-rank phi (radial-basis: r = 499 of 500)
+# is kept as it is.
+_WIDE_ROW_REDUCTION = 2
+
+
+def _pivoted_cholesky(g: np.ndarray, tol: float, max_rows: int):
+    """The r x m rows Lᵀ of a partial pivoted Cholesky factor G ≈ L Lᵀ of the
+    m x m positive semidefinite ``g``, or None when r would exceed
+    ``max_rows``.
+
+    Each step pivots on the largest residual diagonal (the lowest index on a
+    tie) and stops once that diagonal is at most ``tol``; G - L Lᵀ is then
+    positive semidefinite with trace at most m * tol. At least one row is
+    made, so a zero ``g`` gives one zero row. Only ``g`` and the rows are
+    held: no eigendecomposition workspace (Harbrecht, Peters & Schneider,
+    Appl. Numer. Math. 62(4), 2012).
+    """
+    m = g.shape[0]
+    rows = np.zeros((min(max_rows, m), m))
+    d = g.diagonal().copy()
+    for j in range(m):
+        p = int(np.argmax(d))
+        if j > 0 and d[p] <= tol:
+            return rows[:j]
+        if j == max_rows:
+            return None
+        if d[p] > 0.0:  # else g is zero and row 0 stays zero
+            rows[j] = (g[p] - rows[:j, p] @ rows[:j]) / np.sqrt(d[p])
+            d -= rows[j] * rows[j]
+            d[p] = 0.0
+    return rows
+
+
+def _gram_factor(phi: np.ndarray):
+    """An r x n factor B with BᵀB ≈ phiᵀphi, column-major and read-only, or
+    None when a wide ``phi`` (S <= n) has more than S / _WIDE_ROW_REDUCTION
+    numerical rank and should be solved as it is.
+
+    A partial pivoted Cholesky G ≈ L Lᵀ of the smaller Gram matrix, phiᵀphi
+    (tall) or phi phiᵀ (wide), stops at residual diagonals of at most
+    max(S, n) * eps * max diag(G). Tall: B = Lᵀ. Wide: B = Qᵀ phi, Q an
+    orthonormal basis of range(L). For y = phi @ 1 and every w,
+    ||y - phi w||^2 = (1 - w)ᵀ phiᵀphi (1 - w), and ||B 1 - B w||^2 differs
+    from it by at most trace(G - L Lᵀ) * ||1 - w||^2. So the problem on B has
+    the objective, gradient and line minima of the S-row one up to rounding,
+    and each product reads r/S as much. A Gaussian experiment's phi has exact
+    rank d + 1, since log N(x_i | theta) is quadratic in theta; a GLM's
+    log-likelihoods are smooth in a low-dimensional theta, so their singular
+    values decay fast.
+    """
+    s_dim, n = phi.shape
+    tall = s_dim > n
+    g = phi.T @ phi if tall else phi @ phi.T
+    tol = max(s_dim, n) * np.finfo(np.float64).eps * float(g.diagonal().max())
+    rows = _pivoted_cholesky(g, tol, n if tall else s_dim // _WIDE_ROW_REDUCTION)
+    del g  # freed before the r x n product below
+    if rows is None:
+        return None
+    if tall:
+        factor = np.asfortranarray(rows)
+    else:
+        q = np.linalg.qr(rows.T)[0]
+        # Column-major, as the projection is, so gathered columns are
+        # contiguous; filled in column blocks, so no second r x n copy is held.
+        factor = np.empty((q.shape[1], n), order="F")
+        for start in range(0, n, PROJECTION_BLOCK):
+            block = slice(start, start + PROJECTION_BLOCK)
+            factor[:, block] = q.T @ phi[:, block]
+    factor.setflags(write=False)  # so the problem built on it shares it
+    return factor
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectionSet:
     """Centered, 1/sqrt(S)-scaled log-likelihood evaluations, one column per
     data point.
 
-    ``phi`` is stored column-major and read-only. The array that
-    ``build_projection`` builds is kept as it is, not copied, and
-    ``to_problem`` shares it too, so one S x N array serves the projection
-    and its problem.
+    ``phi`` is stored column-major and read-only; the array that
+    ``build_projection`` builds is kept as it is, not copied. Every entry
+    must be finite.
     """
 
     phi: np.ndarray
@@ -364,17 +427,21 @@ class ProjectionSet:
         if phi.ndim != 2 or phi.shape[0] < 2:
             raise ValueError(f"phi must be 2-D with at least 2 rows, got shape {phi.shape}")
         col_scale = _max_abs(phi)
+        # A NaN makes its column's max-abs NaN, and +-inf makes it infinite.
+        if not np.all(np.isfinite(col_scale)):
+            raise ValueError("phi contains non-finite entries")
         col_mean = np.abs(phi.mean(axis=0))
         if np.any(col_mean > 1e-10 * np.maximum(col_scale, 1e-300)):
             raise ValueError("projection columns are not centered")
         object.__setattr__(self, "phi", _frozen_array(phi, order="F"))
 
-    @property
-    def s_count(self) -> int:
-        return self.phi.shape[0]
-
     def to_problem(self) -> SparseRegressionProblem:
-        return SparseRegressionProblem.from_columns(self.phi)
+        """The coreset problem, target the column sum, on the rank-r Gram
+        factor of ``phi`` (``_gram_factor``): the S-row problem's objective
+        up to rounding, at r/S of the cost per product. A wide ``phi`` whose
+        rank is above S/2 has no factor; its problem shares ``phi``."""
+        factor = _gram_factor(self.phi)
+        return SparseRegressionProblem.from_columns(self.phi if factor is None else factor)
 
 
 def build_projection(model: BayesianModel, pi_hat: GaussianDist, s_count: int,
@@ -571,8 +638,6 @@ def synth_radial_basis_model(n: int, basis_scales, per_scale_count: int,
         dataset=Dataset(feats, y),
         prior=prior,
         noise_var=noise_var,
-        basis_means=means,
-        basis_scales=scales,
     )
 
 

@@ -45,13 +45,14 @@ def _as_weights(weights) -> np.ndarray:
 class SparseRegressionProblem:
     """Immutable least-squares data for the k-sparse non-negative fit.
 
-    ``phi`` has shape (s_dim, n): one column per data point, one row per
-    posterior sample. ``y`` has length s_dim. Both are stored read-only so
-    instances can be shared across threads. ``phi`` keeps the memory layout
-    of its input: a column-major ``ProjectionSet.phi`` gives a column-major
-    problem, and a C-order array a C-order one. A read-only array that owns
-    its data, such as ``ProjectionSet.phi``, is shared, not copied, so a
-    projection and its problem hold one S x n array between them.
+    ``phi`` has shape (s_dim, n): one column per data point; its rows are
+    posterior samples, or the rows of their Gram factor
+    (``ProjectionSet.to_problem``). ``y`` has length s_dim. Both are stored
+    read-only so instances can be shared across threads. ``phi`` keeps the
+    memory layout of its input: a column-major projection or factor gives a
+    column-major problem, and a C-order array a C-order one. A read-only
+    array that owns its data, such as ``ProjectionSet.phi`` or a Gram
+    factor, is shared, not copied.
     """
 
     phi: np.ndarray
@@ -114,10 +115,6 @@ class WeightVector:
         object.__setattr__(self, "w", _frozen_array(w))
         object.__setattr__(self, "support", _frozen_array(np.flatnonzero(w), dtype=np.int64))
 
-    @classmethod
-    def zeros(cls, n: int) -> "WeightVector":
-        return cls(np.zeros(n))
-
     def __len__(self) -> int:
         return self.w.shape[0]
 
@@ -139,9 +136,9 @@ class _Columns:
     The columns are gathered, once, only while ``idx`` is at most 1/8 of the
     n columns; a product then costs O(s_dim * |idx|). Otherwise every product
     reads the whole of ``phi``, exactly as the dense expression would. The
-    crossover is measured on a column-major ``phi``, the layout of a
-    projection's problem and of the Gram factor a sweep solves on, where
-    each gathered column is one contiguous copy. On a 2-vCPU machine,
+    crossover is measured on a column-major ``phi``, the layout of the
+    problem ``ProjectionSet.to_problem`` returns, a Gram factor or the
+    projection itself, where each gathered column is one contiguous copy. On a 2-vCPU machine,
     gathering 625 of 5000 columns (1/8) of a 500-row ``phi`` and multiplying
     took 330 us against 480 us for a dense product; with 1000 columns, 125
     took 23 us against 80 us, and 300 took 89 us (radial-basis still solves

@@ -17,15 +17,15 @@ the momentum iterate z (at most 2k nonzeros) inside the gradient, the line
 search, the debias step, the momentum coefficient and the objective. Such a
 product multiplies only the gathered columns when they are at most 1/8 of
 the n columns, O(s_dim * k), and reads the whole of ``phi`` otherwise
-(``problem._Columns``); a projection's ``phi`` is column-major, so each
+(``problem._Columns``); a projection's problem is column-major, so each
 gathered column is one contiguous copy. So on a wide problem (n >> 8 * 3k)
-an iteration costs about one gradient. A sweep hands the solver an r x n
-factor B with B^T B = phi^T phi up to rounding in place of ``phi``, tall or
-wide, where r is the numerical rank: d + 1 for a Gaussian experiment, about
-30 of 500 rows for the logistic and Poisson ones at n = 5000. The problem on
-B has the same objective for every w up to rounding (``cli._gram_factor``),
+an iteration costs about one gradient. ``ProjectionSet.to_problem`` builds
+the problem on an r x n factor B with B^T B = phi^T phi up to rounding,
+tall or wide, where r is the numerical rank: d + 1 for a Gaussian
+experiment, about 30 of 500 rows for the logistic and Poisson ones at
+n = 5000. It has the S-row problem's objective for every w up to rounding,
 so each product costs O(r * n), not O(s_dim * n). A wide ``phi`` whose rank
-is above s_dim / 2 (radial-basis) is solved as it is.
+is above s_dim / 2 (radial-basis) has no such factor and is solved as it is.
 
 Beyond that product an iteration makes O(n) passes over dense n-vectors and
 no more: the two top-k selections (the gradient outside supp(z), and the
@@ -40,12 +40,10 @@ which are supp(z) unless a coordinate of z cancelled, and those columns are
 gathered again only when supp(x) and supp(w) join to a new set. Index sets
 are joined by ``_sorted_union``, not ``np.union1d``, and the kernel passes
 its own index arrays to the unchecked cores of ``project_topk_excluding``
-and ``restrict``. With that per-call overhead gone, the median iteration on
-radial-basis (s_dim = 500, n = 1000) fell from 440 to 348 us against a
-90-97 us gradient (perfbench ``--trace 1``, seed 29, 2 vCPUs). On the
-factors, at seed 0, a logistic-wide iteration (32 x 5000) takes about 206 us
-against a 55 us gradient, and a gaussian-paper one (21 x 100) about 82 us
-against a 9 us gradient: what is left is the O(n) passes and the per-call
+and ``restrict``. On the factors, at seed 0, a logistic-wide iteration
+(32 x 5000) takes about 206 us against a 55 us gradient, and a
+gaussian-paper one (21 x 100) about 82 us against a 9 us gradient (perfbench
+``--trace 1``, 2 vCPUs): what is left is the O(n) passes and the per-call
 overhead of the numpy calls.
 
 ``solve_aiht_batched`` swaps the exact gradient for an unbiased two-mask
@@ -62,7 +60,6 @@ the exact gradient for the rest of the solve, so ``converged`` and
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import time
@@ -83,13 +80,10 @@ from .problem import (
     _top_k_mask,
     gradient,
     objective,
-    project_topk_nonneg,
 )
 
 DEFAULT_MAX_ITERS = 300
 DEFAULT_MAX_ITERS_BATCHED = 500
-
-MOMENTUM_FORMULAS = ("exact_argmin", "halved_argmin")
 
 
 class Termination(str, Enum):
@@ -118,7 +112,6 @@ class SolverConfig:
     k: int
     max_iters: Optional[int] = None
     rel_tol: float = 1e-5
-    momentum_formula: str = "exact_argmin"
     batch_fraction: float = 1.0
     rng_seed: int = 0
 
@@ -129,8 +122,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.momentum_formula not in MOMENTUM_FORMULAS:
-            raise ValueError(f"momentum_formula must be one of {MOMENTUM_FORMULAS}")
         if not 0 < self.batch_fraction <= 1:
             raise ValueError(f"batch_fraction must be in (0, 1], got {self.batch_fraction}")
 
@@ -193,14 +184,6 @@ class SolverTrace:
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(TRACE_FIELDS) + "\n")
-        for r in self.records:
-            support = ";".join(str(i) for i in r.support)
-            buf.write(f"{r.iter},{r.f!r},{r.mu!r},{r.tau!r},{support},{r.ns}\n")
-        return buf.getvalue()
-
 
 def line_search_step(problem: SparseRegressionProblem, direction) -> float:
     """Exact minimizer of f(z - mu * d) over mu: ||d||^2 / (2 ||phi d||^2).
@@ -250,31 +233,19 @@ def _step_along(r: np.ndarray, pd: np.ndarray) -> float:
     return max(0.0, _line_minimizer(r, -pd))
 
 
-def momentum_coefficient(problem: SparseRegressionProblem, w_next, w_prev,
-                         formula: str = "exact_argmin") -> float:
-    """Momentum coefficient for the extrapolation direction w_next - w_prev.
-
-    ``exact_argmin`` minimizes f(w_next + tau * d) exactly:
-    <y - phi w_next, phi d> / ||phi d||^2. ``halved_argmin`` is the same
-    expression with an extra factor 2 in the denominator. Returns 0 when
-    ``phi @ d`` vanishes.
+def momentum_coefficient(problem: SparseRegressionProblem, w_next, w_prev) -> float:
+    """Momentum coefficient for the extrapolation direction d = w_next - w_prev:
+    the exact minimizer of f(w_next + tau * d),
+    <y - phi w_next, phi d> / ||phi d||^2. Returns 0 when ``phi @ d``
+    vanishes.
     """
-    if formula not in MOMENTUM_FORMULAS:
-        raise ValueError(f"formula must be one of {MOMENTUM_FORMULAS}")
     wn = _as_weights(w_next)
     wp = _as_weights(w_prev)
     if wn.shape != wp.shape:
         raise ValueError("weight vectors differ in length")
     d = wn - wp
     pd = _Columns(problem.phi, np.flatnonzero(d)).image(d)
-    return _momentum(_residual(problem, wn), pd, formula)
-
-
-def _momentum(r_next: np.ndarray, pd: np.ndarray, formula: str) -> float:
-    """``momentum_coefficient`` from the residual y - phi w_next and the image
-    phi (w_next - w_prev)."""
-    tau = _line_minimizer(r_next, pd)
-    return tau / 2.0 if formula == "halved_argmin" else tau
+    return _line_minimizer(_residual(problem, wn), pd)
 
 
 def stochastic_gradient(problem: SparseRegressionProblem, weights,
@@ -330,15 +301,27 @@ def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return merged[keep]
 
 
+def _projected_step(v: np.ndarray, k: int, t: int):
+    """(selected, values): the projection of v onto the k-sparse cone as the
+    k indices it selects and their entries. A selected zero is not in the
+    support. A non-finite selected entry raises ``DivergenceError(t)``."""
+    clipped = np.where(v > 0, v, 0.0)
+    selected = np.flatnonzero(_top_k_mask(clipped, k))
+    values = clipped[selected]
+    if not np.all(np.isfinite(values)):
+        raise DivergenceError(t)
+    return selected, values
+
+
 def solve_vanilla_iht(problem: SparseRegressionProblem, cfg: SolverConfig,
                       step: float):
     """Fixed-step projected gradient descent onto the k-sparse cone.
 
-    Raises ``DivergenceError`` when the objective turns non-finite, which a
-    bad fixed step can cause.
+    Raises ``DivergenceError`` when the projected step or the objective
+    turns non-finite, which a bad fixed step can cause.
     """
-    if not step > 0:
-        raise ValueError(f"step must be > 0, got {step}")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be > 0 and finite, got {step}")
     if cfg.k > problem.n:
         raise ValueError(f"k={cfg.k} exceeds problem size n={problem.n}")
     max_iters = cfg.effective_max_iters()
@@ -351,13 +334,15 @@ def solve_vanilla_iht(problem: SparseRegressionProblem, cfg: SolverConfig,
         for t in range(max_iters):
             t0 = time.perf_counter_ns()
             grad = gradient(problem, w)
-            projected = project_topk_nonneg(w - step * grad, cfg.k)
-            w_next = projected.w
+            selected, values = _projected_step(w - step * grad, cfg.k, t)
+            w_next = np.zeros(problem.n)
+            w_next[selected] = values
             f = objective(problem, w_next)
             if not np.isfinite(f):
                 raise DivergenceError(t)
             ns = time.perf_counter_ns() - t0
-            records.append(TraceRecord(t, f, step, 0.0, tuple(projected.support.tolist()), ns))
+            support = selected[values != 0.0]
+            records.append(TraceRecord(t, f, step, 0.0, tuple(support.tolist()), ns))
             done = _converged(w_next, w, cfg.rel_tol)
             w = w_next
             if done:
@@ -429,14 +414,8 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
         stalled_now = mu == 0.0
 
         # Projected step uses the full gradient; only mu comes from the
-        # restricted one. It keeps the k largest positive entries; a
-        # selected zero is not in supp(x).
-        v = z - mu * grad
-        clipped = np.where(v > 0, v, 0.0)
-        selected = np.flatnonzero(_top_k_mask(clipped, cfg.k))
-        values = clipped[selected]
-        if not np.all(np.isfinite(values)):
-            raise DivergenceError(t)
+        # restricted one.
+        selected, values = _projected_step(z - mu * grad, cfg.k, t)
         x = np.zeros(n)
         x[selected] = values
         x_projected = x
@@ -463,7 +442,7 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
         w_next = x
         step = w_next - w
         r_next = problem.y - cols.image(w_next)
-        tau = _momentum(r_next, cols.image(step), cfg.momentum_formula)
+        tau = _line_minimizer(r_next, cols.image(step))
         z_next = w_next + tau * step
         f = float(r_next @ r_next)
         if not np.isfinite(f):

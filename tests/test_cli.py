@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import coreset_iht
-from coreset_iht import EnumerationBudgetError, cli, gradient, load_csv_dataset, models, objective
+from coreset_iht import (EnumerationBudgetError, SparseRegressionProblem, cli, gradient,
+                         load_csv_dataset, models, objective)
 from coreset_iht.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -49,7 +50,7 @@ def logistic_build(tmp_path_factory):
 
 class TestConfig:
     def test_round_trip(self):
-        cfg = tiny_config("/tmp/x", momentum_formula="halved_argmin")
+        cfg = tiny_config("/tmp/x", batch_fraction=0.5)
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
     def test_validation(self):
@@ -196,17 +197,21 @@ def perfbench_tracing():
 
 
 class TestProblemSeam:
-    """What ``_run_trial`` hands the solver: the problem on the rank-r factor
-    of its ``phi``'s Gram matrix, tall or wide, unless a wide ``phi`` has
-    rank above S/2; then it is the ``ProjectionSet.to_problem`` problem
-    itself."""
+    """``_run_trial`` hands the solver exactly the problem that
+    ``ProjectionSet.to_problem`` returns: the one on the rank-r factor of
+    ``phi``'s Gram matrix, tall or wide, unless a wide ``phi`` has rank above
+    S/2 and the problem is on ``phi`` itself."""
 
     @staticmethod
-    def record(monkeypatch, solver_name):
-        built, solved = [], []
+    def solved(monkeypatch, solver_name, run):
+        """Call ``run`` with ``to_problem`` and the solver recorded, check that
+        the solver got the problems ``to_problem`` returned, each once per k,
+        and return (each projection's phi, each returned problem)."""
+        projections, built, solved = [], [], []
         to_problem = models.ProjectionSet.to_problem
 
         def recording_to_problem(self):
+            projections.append(self.phi)
             built.append(to_problem(self))
             return built[-1]
 
@@ -218,24 +223,31 @@ class TestProblemSeam:
 
         monkeypatch.setattr(models.ProjectionSet, "to_problem", recording_to_problem)
         monkeypatch.setattr(cli, solver_name, recording_solve)
-        return built, solved
+        run()
+        ks = len(solved) // len(built)
+        assert len(solved) == ks * len(built) and ks >= 1
+        assert all(problem is built[i // ks] for i, problem in enumerate(solved))
+        return projections, built
+
+    def sweep(self, monkeypatch, cfg):
+        def run():
+            assert run_sweep(cfg).failures == 0
+        return self.solved(monkeypatch, "solve_" + cfg.solver, run)
 
     def test_tall_sweep_solves_on_the_gram_factor(self, tmp_path, monkeypatch):
-        built, solved = self.record(monkeypatch, "solve_aiht")
         cfg = tiny_config(tmp_path)  # S = 100 > n = 20
-        assert run_sweep(cfg).failures == 0
-        assert [p.phi.shape for p in built] == [(100, 20)] * cfg.trials
+        projections, problems = self.sweep(monkeypatch, cfg)
+        assert [phi.shape for phi in projections] == [(100, 20)] * cfg.trials
         # A Gaussian phi has rank d + 1: the log-density is quadratic in theta.
-        expected = [(cfg.dim + 1, cfg.n_data)] * (cfg.trials * len(cfg.k_list))
-        assert [p.phi.shape for p in solved] == expected
+        assert [p.phi.shape for p in problems] == [(cfg.dim + 1, cfg.n_data)] * cfg.trials
 
     def test_gram_factor_matches_the_paper_problem(self, tmp_path, monkeypatch):
-        built, solved = self.record(monkeypatch, "solve_aiht_debias")
         cfg = tiny_config(tmp_path, solver="aiht_debias", k_list=[30], trials=3,
                           dim=20, n_data=100, s_count=2000)
-        assert run_sweep(cfg).failures == 0
+        projections, problems = self.sweep(monkeypatch, cfg)
         rng = np.random.default_rng(0)
-        for full, factor in zip(built, solved):
+        for phi, factor in zip(projections, problems):
+            full = SparseRegressionProblem.from_columns(phi)
             assert factor.phi.shape == (21, 100)
             y_sq = float(full.y @ full.y)
             for _ in range(5):
@@ -250,14 +262,16 @@ class TestProblemSeam:
         zero and the factorisation has no pivot."""
         data_path = tmp_path / "zero.csv"
         data_path.write_text("x0,y\n" + "".join(f"0,{i % 7 - 3.0}\n" for i in range(rows)))
-        _, solved = self.record(monkeypatch, "solve_aiht_debias")
-        rc = main(["sweep", "--experiment", "csv", "--csv-path", str(data_path),
-                   "--csv-kind", "linear_regression", "--s-count", "50", "--k", "2",
-                   "--solver", "aiht_debias", "--outdir", str(tmp_path / "out"),
-                   "--no-timing"])
-        assert rc == 0
+
+        def run():
+            assert main(["sweep", "--experiment", "csv", "--csv-path", str(data_path),
+                         "--csv-kind", "linear_regression", "--s-count", "50", "--k", "2",
+                         "--solver", "aiht_debias", "--outdir", str(tmp_path / "out"),
+                         "--no-timing"]) == 0
+
+        _, problems = self.solved(monkeypatch, "solve_aiht_debias", run)
         (run_path,) = (tmp_path / "out").glob("run_*.json")
-        return [p.phi.shape for p in solved], json.loads(run_path.read_text())["objective"]
+        return [p.phi.shape for p in problems], json.loads(run_path.read_text())["objective"]
 
     def test_all_zero_tall_problem_keeps_one_row(self, tmp_path, monkeypatch):
         assert self.zero_feature_sweep(tmp_path, monkeypatch, 4) == ([(1, 4)], 0.0)
@@ -266,25 +280,21 @@ class TestProblemSeam:
         assert self.zero_feature_sweep(tmp_path, monkeypatch, 80) == ([(1, 80)], 0.0)
 
     def test_low_rank_wide_sweep_solves_on_the_gram_factor(self, tmp_path, monkeypatch):
-        built, solved = self.record(monkeypatch, "solve_aiht")
         cfg = tiny_config(tmp_path, experiment="logistic", dim=2, n_data=400, s_count=200)
-        assert run_sweep(cfg).failures == 0
-        assert [p.phi.shape for p in built] == [(200, 400)] * cfg.trials
-        assert len(solved) == cfg.trials * len(cfg.k_list)
-        for problem in solved:
+        projections, problems = self.sweep(monkeypatch, cfg)
+        assert [phi.shape for phi in projections] == [(200, 400)] * cfg.trials
+        for problem in problems:
             assert problem.s_dim <= cfg.s_count // 2 and problem.n == cfg.n_data
             assert problem.phi.flags.f_contiguous
 
     def test_wide_sweep_solves_the_projection_problem(self, tmp_path, monkeypatch):
         # A radial-basis phi has full numerical rank, so a factor would not
         # halve its products.
-        built, solved = self.record(monkeypatch, "solve_aiht")
         cfg = tiny_config(tmp_path, experiment="radial_basis", n_data=120, s_count=60,
                           basis_scales=[0.5, 1.0], per_scale_count=20)
-        assert run_sweep(cfg).failures == 0
-        assert len(built) == cfg.trials
-        ks = len(cfg.k_list)
-        assert all(solved[i] is built[i // ks] for i in range(len(solved)))
+        projections, problems = self.sweep(monkeypatch, cfg)
+        assert len(problems) == cfg.trials
+        assert all(p.phi is phi for p, phi in zip(problems, projections))
 
     def test_sweeps_make_the_traced_calls(self, tmp_path, monkeypatch):
         # perfbench --trace 1 rebinds these cli names and wraps
@@ -418,7 +428,7 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.glob("run_*.json"))
 
-    @pytest.mark.parametrize("step", [None, "nan", "0", "-1"])
+    @pytest.mark.parametrize("step", [None, "nan", "0", "-1", "inf"])
     def test_vanilla_without_a_step_rejected_before_any_run(self, tmp_path, capsys, step):
         outdir = tmp_path / "out"
         argv = ["sweep", "--experiment", "gaussian", "--solver", "vanilla",
@@ -470,6 +480,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("config,message", [
         ({"dim": "2"}, "config field dim must be int"),
         ({"map_l2": True}, "unknown config fields: ['map_l2']"),
+        ({"momentum_formula": "exact_argmin"}, "unknown config fields: ['momentum_formula']"),
     ])
     def test_evaluate_bad_build_config_exits_one(self, tmp_path, capsys, logistic_build,
                                                  config, message):
@@ -495,6 +506,7 @@ class TestMainEntry:
         ({"dim": 0}, "dim must be >= 1, got 0"),
         ({"n_data": 0}, "n_data must be >= 1, got 0"),
         ({"s_count": 1}, "s_count must be >= 2, got 1"),
+        ({"momentum_formula": "exact_argmin"}, "unknown config fields: ['momentum_formula']"),
     ])
     def test_malformed_config_file_rejected_before_any_run(self, tmp_path, capsys,
                                                            config, message):
@@ -513,6 +525,14 @@ class TestMainEntry:
             main(["sweep", "--no-map-l2", "--outdir", str(tmp_path / "out")])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --no-map-l2" in capsys.readouterr().err
+
+    def test_momentum_flag_is_gone(self, tmp_path, capsys):
+        # The one momentum coefficient is the exact line minimum.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--momentum", "exact_argmin", "--outdir", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --momentum" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_csv_uniform_sweep_uses_dataset_size(self, tmp_path, capsys):
         # The uniform baseline once drew weights for the default n_data (100)

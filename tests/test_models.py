@@ -30,7 +30,7 @@ from coreset_iht import (
     synth_glm_dataset,
     synth_radial_basis_model,
 )
-from coreset_iht import cli, models
+from coreset_iht import models
 from coreset_iht.models import CONJUGATE_KINDS, MODEL_KINDS
 from conftest import radial_basis_prior_and_posterior
 
@@ -135,7 +135,7 @@ def all_rows_log_joint(model, theta, w):
         grad += x.T @ (w * (y - x @ theta)) / model.noise_var
         hess += (x.T * w) @ x / model.noise_var
     else:
-        z = model.design()
+        z = np.hstack([x, np.ones((x.shape[0], 1))])
         t = z @ theta
         s = expit(t)
         if model.kind == "logistic":
@@ -335,10 +335,25 @@ class TestBuildProjection:
     def test_to_problem_target_is_column_sum(self):
         model = gaussian_mean_model(np.random.default_rng(4).standard_normal((5, 2)))
         proj = build_projection(model, model.prior, 300, seed=4)
-        assert proj.s_count == 300
+        assert proj.phi.shape == (300, 5)
         problem = proj.to_problem()
-        np.testing.assert_allclose(problem.y, proj.phi.sum(axis=1), atol=1e-12)
-        assert problem.n == 5 and problem.s_dim == 300
+        # The Gram factor of a Gaussian phi has rank d + 1.
+        assert problem.n == 5 and problem.s_dim == 3
+        np.testing.assert_array_equal(problem.y, problem.phi.sum(axis=1))
+        target = proj.phi.sum(axis=1)
+        assert problem.y @ problem.y == pytest.approx(target @ target, rel=1e-10)
+
+    @pytest.mark.parametrize("shape", [(40, 5), (5, 40)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_projection_refused(self, shape, bad):
+        # Centring cannot see these: a NaN column mean compares false, and an
+        # infinite one is not above the infinite column scale.
+        phi = np.random.default_rng(0).standard_normal(shape)
+        phi -= phi.mean(axis=0)
+        models.ProjectionSet(phi)
+        phi[1, 2] = bad
+        with pytest.raises(ValueError, match="phi contains non-finite entries"):
+            models.ProjectionSet(phi)
 
     def test_monte_carlo_error_shrinks_at_root_s_rate(self):
         # average |finite-S objective - analytic value| over replicates must
@@ -445,18 +460,30 @@ class TestProjectionInPlace:
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_phi_and_problem_are_column_major(self, kind):
+        # At S = 50, n = 300 the Gaussian and linear-regression problems are
+        # on Gram factors (rank 4 and 9) and the GLM ones on phi itself.
         model = projection_model(kind)
         proj = build_projection(model, full_data_posterior(model), 50, (5, 0, 1))
         assert proj.phi.flags.f_contiguous and not proj.phi.flags.writeable
         problem = proj.to_problem()
-        assert problem.phi.flags.f_contiguous
-        assert np.array_equal(problem.phi, proj.phi)
+        assert problem.phi.flags.f_contiguous and not problem.phi.flags.writeable
+        assert problem.n == 300 and problem.s_dim <= 50
+        np.testing.assert_array_equal(problem.y, problem.phi.sum(axis=1))
+        full = SparseRegressionProblem.from_columns(proj.phi)
+        tol = 1e-10 * float(full.y @ full.y)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            w = rng.uniform(0.0, 2.0, 300) * (rng.random(300) < 0.2)
+            assert abs(objective(problem, w) - objective(full, w)) <= tol
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_problem_shares_the_projection_array(self, kind):
+        # At S = 6 every kind's wide phi has rank above S/2, so no factor
+        # would halve it and the problem is on phi itself.
         model = projection_model(kind)
-        proj = build_projection(model, full_data_posterior(model), 50, (5, 0, 1))
+        proj = build_projection(model, full_data_posterior(model), 6, (5, 0, 1))
         assert proj.phi.flags.owndata
+        assert models._gram_factor(proj.phi) is None
         assert proj.to_problem().phi is proj.phi
 
 
@@ -477,7 +504,17 @@ class TestBlockedBuild:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * proj.phi.nbytes
-        assert proj.to_problem().phi is proj.phi
+        # Every kind has a Gram factor here. Making it holds the factor, the
+        # S x S Gram matrix and one block of the product, not a second
+        # S x N array.
+        tracemalloc.start()
+        try:
+            problem = proj.to_problem()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert problem.s_dim <= self.S // 2
+        assert peak <= problem.phi.nbytes + 0.1 * proj.phi.nbytes
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_matches_unblocked_formula(self, kind):
@@ -522,21 +559,20 @@ class TestBlockedBuild:
             build_projection(model, pi_hat, self.S, (5, 0, 1))
 
 
-def coreset_problem(kind, dim, n, s_count, seed=7):
-    """The S-row problem of one sweep trial's projection."""
+def coreset_projection(kind, dim, n, s_count, seed=7):
+    """One sweep trial's projection."""
     if kind == "gaussian":
         model, _ = synth_gaussian_dataset(dim, n, (seed, 0, 0))
     elif kind == "radial_basis":
         model = synth_radial_basis_model(n, [0.5, 1.0], 20, (seed, 0, 0))
     else:
         model = synth_glm_dataset(kind, n, dim, (seed, 0, 0))
-    return build_projection(model, full_data_posterior(model), s_count,
-                            (seed, 0, 1)).to_problem()
+    return build_projection(model, full_data_posterior(model), s_count, (seed, 0, 1))
 
 
 class TestGramFactor:
-    """A coreset problem and the one a sweep solves on its factor
-    (``cli._gram_factor``) agree for every w up to rounding: y = phi @ 1, so
+    """A projection's S-row problem and the one ``to_problem`` returns on its
+    factor (``_gram_factor``) agree for every w up to rounding: y = phi @ 1, so
     ||y - phi w||^2 = (1 - w)^T phi^T phi (1 - w), and phi^T phi - B^T B is
     positive semidefinite with trace at most m * max(S, n) * eps * max diag
     of the smaller, m x m, Gram matrix."""
@@ -546,10 +582,11 @@ class TestGramFactor:
         ("logistic", 2, 20, 100), ("logistic", 2, 100, 2000),
         ("logistic", 2, 5000, 500), ("poisson", 2, 5000, 500)])
     def test_matches_full_problem(self, kind, dim, n, s_count):
-        full = coreset_problem(kind, dim, n, s_count)
-        factor = cli._gram_factor(full.phi)
-        small = SparseRegressionProblem.from_columns(factor)
-        assert small.phi.flags.f_contiguous
+        proj = coreset_projection(kind, dim, n, s_count)
+        full = SparseRegressionProblem.from_columns(proj.phi)
+        small = proj.to_problem()
+        assert small.phi.tobytes("F") == models._gram_factor(proj.phi).tobytes("F")
+        assert small.phi.flags.f_contiguous and not small.phi.flags.writeable
         if s_count <= n:
             assert small.s_dim <= s_count // 2
         if kind == "gaussian":
@@ -573,8 +610,9 @@ class TestGramFactor:
                 stochastic_gradient(full, w, 1.0, np.random.default_rng(3)), rtol=0, atol=tol)
 
     def test_full_rank_wide_problem_is_kept(self):
-        full = coreset_problem("radial_basis", 0, 120, 60)  # rank 59 of 60
-        assert cli._gram_factor(full.phi) is None
+        proj = coreset_projection("radial_basis", 0, 120, 60)  # rank 59 of 60
+        assert models._gram_factor(proj.phi) is None
+        assert proj.to_problem().phi is proj.phi
 
 
 class TestPivotedCholesky:
@@ -590,23 +628,23 @@ class TestPivotedCholesky:
     @pytest.mark.parametrize("rank", [1, 5, 12])
     def test_planted_rank(self, rank):
         g = self.planted(12, rank)
-        rows = cli._pivoted_cholesky(g, self.tol(g), 12)
+        rows = models._pivoted_cholesky(g, self.tol(g), 12)
         assert rows.shape == (rank, 12)
         np.testing.assert_allclose(rows.T @ rows, g, rtol=0, atol=1e-12 * np.abs(g).max())
 
     def test_gives_up_exactly_past_the_limit(self):
         g = self.planted(12, 5)
-        assert cli._pivoted_cholesky(g, self.tol(g), 5).shape == (5, 12)
-        assert cli._pivoted_cholesky(g, self.tol(g), 4) is None
+        assert models._pivoted_cholesky(g, self.tol(g), 5).shape == (5, 12)
+        assert models._pivoted_cholesky(g, self.tol(g), 4) is None
 
     def test_equal_diagonals_pivot_on_the_lowest_index(self):
         g = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
-        rows = cli._pivoted_cholesky(g, self.tol(g), 3)
+        rows = models._pivoted_cholesky(g, self.tol(g), 3)
         np.testing.assert_array_equal(rows[0], g[0] / np.sqrt(2.0))
-        assert rows.tobytes() == cli._pivoted_cholesky(g, self.tol(g), 3).tobytes()
+        assert rows.tobytes() == models._pivoted_cholesky(g, self.tol(g), 3).tobytes()
 
     def test_zero_matrix_gives_one_zero_row(self):
-        rows = cli._pivoted_cholesky(np.zeros((4, 4)), 0.0, 4)
+        rows = models._pivoted_cholesky(np.zeros((4, 4)), 0.0, 4)
         assert rows.shape == (1, 4) and not rows.any()
 
 
@@ -739,11 +777,11 @@ class TestSynthRadialBasis:
         scales = [0.2, 0.4, 0.8]
         model = synth_radial_basis_model(40, scales, 5, seed=0)
         assert model.dataset.d == len(scales) * 5 + 1
-        assert model.basis_scales[-1] == 100.0
         feats = model.dataset.x
         # kernel range is (0, 1]; float underflow maps remote points to 0
         assert np.all(feats >= 0) and np.all(feats <= 1.0)
-        assert np.all(feats[:, -1] > 0.9)  # near-constant basis never underflows
+        # The last basis, of scale 100 at the coordinate mean, is near-constant.
+        assert np.all(feats[:, -1] > 0.99)
 
     def test_prior_from_response_moments(self):
         model = synth_radial_basis_model(30, [0.5], 4, seed=1)

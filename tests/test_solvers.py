@@ -36,7 +36,7 @@ from coreset_iht.solvers import (
     _accelerated_iht,
     _converged,
     _exact_step,
-    _momentum,
+    _line_minimizer,
     _sorted_union,
 )
 from conftest import random_problem, recovery_problem
@@ -63,8 +63,6 @@ class TestSolverConfig:
             SolverConfig(k=1, max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(k=1, rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(k=1, momentum_formula="nesterov")
         with pytest.raises(ValueError):
             SolverConfig(k=1, batch_fraction=0.0)
 
@@ -116,25 +114,12 @@ class TestMomentum:
             p = random_problem(rng, 8, 6)
             w_prev = np.abs(rng.standard_normal(6))
             w_next = np.abs(rng.standard_normal(6))
-            tau = momentum_coefficient(p, w_next, w_prev, "exact_argmin")
+            tau = momentum_coefficient(p, w_next, w_prev)
             d = w_next - w_prev
             f_star = objective(p, w_next + tau * d)
             for c in np.linspace(-2.0, 2.0, 100):
                 assert f_star <= objective(p, w_next + c * d) * (1 + 1e-10) + 1e-12
 
-    def test_halved_is_half_of_exact(self):
-        rng = np.random.default_rng(3)
-        p = random_problem(rng, 6, 5)
-        a = np.abs(rng.standard_normal(5))
-        b = np.abs(rng.standard_normal(5))
-        exact = momentum_coefficient(p, a, b, "exact_argmin")
-        halved = momentum_coefficient(p, a, b, "halved_argmin")
-        assert halved == exact / 2.0
-
-    def test_unknown_formula(self):
-        p = SparseRegressionProblem(np.eye(2), np.ones(2))
-        with pytest.raises(ValueError):
-            momentum_coefficient(p, np.ones(2), np.zeros(2), "bogus")
 
 
 class TestVanillaIht:
@@ -179,9 +164,21 @@ class TestVanillaIht:
         assert len(fs) == err.value.iteration
         assert np.all(np.diff(fs) > 0)
 
+    def test_overflowing_step_raises_divergence(self):
+        # The first projected step overflows to +inf.
+        problem = SparseRegressionProblem.from_columns(
+            np.random.default_rng(0).standard_normal((20, 50)))
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
+            solve_vanilla_iht(problem, SolverConfig(k=5), step=1e307)
+        assert err.value.iteration == 0
+
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             solve_vanilla_iht(zero_target_problem(), SolverConfig(k=1), step=0.0)
+
+    def test_step_must_be_finite(self):
+        with pytest.raises(ValueError, match="step must be > 0 and finite"):
+            solve_vanilla_iht(zero_target_problem(), SolverConfig(k=1), step=np.inf)
 
 
 class TestAiht:
@@ -552,7 +549,7 @@ def reference_accelerated_iht(problem, cfg, *, debias, batched=False):
         w_next = x
         step = w_next - w
         r_next = problem.y - cols.image(w_next)
-        tau = _momentum(r_next, cols.image(step), cfg.momentum_formula)
+        tau = _line_minimizer(r_next, cols.image(step))
         z_next = w_next + tau * step
         f = float(r_next @ r_next)
         records.append(TraceRecord(t, f, mu, tau,
@@ -593,8 +590,7 @@ class TestKernelMatchesReference:
                 "saturated": (50, 10, 6)}
 
     @pytest.mark.parametrize("shape", sorted(PROBLEMS))
-    @pytest.mark.parametrize("variant", ["aiht", "aiht_debias", "aiht_debias_halved",
-                                         "batched_1", "batched_0.2"])
+    @pytest.mark.parametrize("variant", ["aiht", "aiht_debias", "batched_1", "batched_0.2"])
     def test_bit_identical(self, shape, variant):
         s_dim, n, k = self.PROBLEMS[shape]
         rng = np.random.default_rng(21)
@@ -603,10 +599,9 @@ class TestKernelMatchesReference:
         else:
             problem = random_problem(rng, s_dim, n, y_scale=3.0)
         batch_fraction = 0.2 if variant == "batched_0.2" else 1.0
-        formula = "halved_argmin" if variant.endswith("_halved") else "exact_argmin"
-        cfg = SolverConfig(k=k, max_iters=120, rel_tol=1e-10, momentum_formula=formula,
+        cfg = SolverConfig(k=k, max_iters=120, rel_tol=1e-10,
                            batch_fraction=batch_fraction, rng_seed=4)
-        debias = variant.startswith("aiht_debias")
+        debias = variant == "aiht_debias"
         batched = variant.startswith("batched")
         solver = solve_aiht_debias if debias else solve_aiht_batched if batched else solve_aiht
         capture = []
@@ -728,9 +723,9 @@ class TestTraceSerialization:
     def test_csv_column_order(self):
         problem, _ = small_recovery_instance()
         _, trace = solve_aiht(problem, SolverConfig(k=2, max_iters=5))
-        lines = trace.to_csv().strip().splitlines()
-        assert lines[0] == "iter,f,mu,tau,support,ns"
-        assert len(lines) == len(trace) + 1
+        payload = trace.to_dict()
+        assert payload["fields"] == ["iter", "f", "mu", "tau", "support", "ns"]
+        assert len(payload["records"]) == len(trace)
 
     def test_trace_invariants(self):
         problem, _ = small_recovery_instance()
