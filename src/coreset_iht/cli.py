@@ -352,15 +352,20 @@ def run_gen_data(cfg: ExperimentConfig) -> Path:
     return path
 
 
+class _RunFailed(RuntimeError):
+    """A build's one run failed; the message is the error its run recorded."""
+
+
 def run_build(cfg: ExperimentConfig) -> Path:
     """Construct one coreset (trial 0, first k) and write weights + trace to
-    ``build_<experiment>_<solver>_k<k>.json``."""
+    ``build_<experiment>_<solver>_k<k>.json``. A failed run writes nothing and
+    raises ``RuntimeError`` with the run's recorded error."""
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     runs = _run_trial(_single_k(cfg), 0)
     run = runs[0]
     if "error" in run:
-        raise RuntimeError(run["error"])
+        raise _RunFailed(run["error"])
     path = outdir / f"build_{cfg.experiment}_{cfg.solver}_k{run['k']}.json"
     _write_json(path, run)
     return path
@@ -501,7 +506,7 @@ def main(argv=None) -> int:
     except EnumerationBudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, _RunFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

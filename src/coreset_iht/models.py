@@ -75,7 +75,15 @@ def _tril_inv(chol: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GaussianDist:
     """Multivariate Gaussian carrying its (lower) Cholesky factor L of the
-    covariance and that factor's inverse, so cov^-1 = L^-T L^-1."""
+    covariance and that factor's inverse, so cov^-1 = L^-T L^-1.
+
+    Made in one of two ways. ``GaussianDist(mean, cov)`` takes a covariance
+    from outside a fit (a prior, a config, a test): it checks shape,
+    finiteness, symmetry and positive definiteness, then factors and inverts
+    it. ``GaussianDist._fitted(mean, chol, chol_inv)`` takes the pair a
+    posterior fit already holds from its one factorisation of the precision
+    (``_covariance_factor``) and factors nothing.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -98,10 +106,26 @@ class GaussianDist:
             chol = np.linalg.cholesky((cov + cov.T) / 2.0)
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance is not positive definite") from exc
+        self._set(mean, cov, chol, _tril_inv(chol))
+
+    @classmethod
+    def _fitted(cls, mean: np.ndarray, chol: np.ndarray, chol_inv: np.ndarray) -> "GaussianDist":
+        """N(mean, chol chol^T) from a fit's factor pair, ``chol_inv`` the
+        inverse of ``chol``. Only finiteness is checked: it is the last guard
+        against a non-finite Newton result."""
+        cov = chol @ chol.T
+        cov = (cov + cov.T) / 2.0
+        if not all(np.all(np.isfinite(a)) for a in (mean, cov, chol, chol_inv)):
+            raise ValueError("mean/cov contain non-finite entries")
+        dist = object.__new__(cls)
+        dist._set(mean, cov, chol, chol_inv)
+        return dist
+
+    def _set(self, mean, cov, chol, chol_inv) -> None:
         object.__setattr__(self, "mean", _frozen_array(mean))
         object.__setattr__(self, "cov", _frozen_array(cov))
         object.__setattr__(self, "chol", _frozen_array(chol))
-        object.__setattr__(self, "chol_inv", _frozen_array(_tril_inv(chol)))
+        object.__setattr__(self, "chol_inv", _frozen_array(chol_inv))
 
     @property
     def dim(self) -> int:
@@ -499,19 +523,21 @@ def build_projection(model: BayesianModel, pi_hat: GaussianDist, s_count: int,
 
 # -- posteriors -----------------------------------------------------------
 
-def _inverse_cholesky(neg_hess: np.ndarray) -> np.ndarray:
-    """L^-1 for the Cholesky factor L of the negative Hessian H: H^-1 = L^-T L^-1."""
+def _covariance_factor(neg_hess: np.ndarray) -> tuple:
+    """(L, L^-1) for the covariance H^-1 of the negative Hessian H, from one
+    Cholesky factorisation of H.
+
+    Factoring H with its indices reversed, J H J = M M^T (J the reversal),
+    gives H = U U^T with U = J M J upper triangular. So H^-1 = U^-T U^-1,
+    and since a Cholesky factor is unique, L = U^-T and L^-1 = U^T = J M^T J
+    (Golub & Van Loan, Matrix Computations, sec. 4.2).
+    """
     try:
-        chol = np.linalg.cholesky(neg_hess)
+        m = np.linalg.cholesky(neg_hess[::-1, ::-1])
     except np.linalg.LinAlgError as exc:
         raise CurvatureError("negative Hessian of the log joint is not positive definite") from exc
-    return _tril_inv(chol)
-
-
-def _gaussian_fit(mean: np.ndarray, chol_inv: np.ndarray) -> GaussianDist:
-    """N(mean, H^-1), with ``chol_inv`` from ``_inverse_cholesky(H)``."""
-    cov = chol_inv.T @ chol_inv
-    return GaussianDist(mean, (cov + cov.T) / 2.0)
+    chol_inv = m.T[::-1, ::-1]
+    return _tril_inv(chol_inv), chol_inv
 
 
 def conjugate_posterior(model: BayesianModel, weights) -> GaussianDist:
@@ -525,8 +551,8 @@ def conjugate_posterior(model: BayesianModel, weights) -> GaussianDist:
         raise ValueError(f"no conjugate posterior for kind {model.kind!r}")
     theta = np.zeros(model.theta_dim)
     _, grad, neg_hess = model.log_joint(theta, weights)
-    chol_inv = _inverse_cholesky(neg_hess)
-    return _gaussian_fit(theta + chol_inv.T @ (chol_inv @ grad), chol_inv)
+    chol, chol_inv = _covariance_factor(neg_hess)
+    return GaussianDist._fitted(theta + chol @ (chol.T @ grad), chol, chol_inv)
 
 
 def laplace_approximation(model: BayesianModel, weights) -> GaussianDist:
@@ -542,11 +568,11 @@ def laplace_approximation(model: BayesianModel, weights) -> GaussianDist:
     for newton_step in range(MAX_NEWTON + 1):
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= NEWTON_TOL:
-            return _gaussian_fit(theta, _inverse_cholesky(neg_hess))
+            return GaussianDist._fitted(theta, *_covariance_factor(neg_hess))
         if newton_step == MAX_NEWTON:
             break
-        chol_inv = _inverse_cholesky(neg_hess)
-        direction = chol_inv.T @ (chol_inv @ grad)
+        chol, _ = _covariance_factor(neg_hess)
+        direction = chol @ (chol.T @ grad)
         # Near the MAP the true increase of a full Newton step falls below
         # the float resolution of the log joint while the gradient still
         # shrinks quadratically, so a step within evaluation noise is

@@ -65,6 +65,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -352,16 +353,15 @@ def solve_vanilla_iht(problem: SparseRegressionProblem, cfg: SolverConfig,
 
 
 def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
-                     debias: bool,
+                     debias: bool, max_iters: int,
                      gradient_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                     batched: bool = False,
                      capture: Optional[list] = None):
-    """Shared accelerated-IHT loop.
+    """Shared accelerated-IHT loop of at most ``max_iters`` iterations.
 
-    ``gradient_fn`` replaces the exact gradient at z. A batched solve with
-    ``batch_fraction < 1`` takes it to be an estimate: the step comes from
-    ``step_along`` and the first small or stalled step switches the loop to
-    the exact gradient instead of terminating it.
+    ``gradient_fn`` is an estimate of the gradient at z that replaces the
+    exact one: the step comes from ``step_along``, and the first small or
+    stalled step switches the loop to the exact gradient instead of
+    terminating it.
 
     Only the gradient's ``phi.T @ r`` has to read all of ``phi``. Every
     other product is with a vector of at most 3k nonzeros and goes through
@@ -378,8 +378,6 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
     """
     if cfg.k > problem.n:
         raise ValueError(f"k={cfg.k} exceeds problem size n={problem.n}")
-    max_iters = cfg.effective_max_iters(batched=batched)
-    stochastic = batched and cfg.batch_fraction < 1.0
 
     n = problem.n
     w = np.zeros(n)
@@ -407,7 +405,7 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
         grad_restricted = np.zeros(n)
         grad_restricted[support] = grad_support
         pd = _Columns(problem.phi, support[grad_support != 0.0]).image(grad_restricted)
-        if stochastic:
+        if gradient_fn is not None:
             mu = _step_along(_residual(problem, z, z_cols), pd)
         else:
             mu = _exact_step(grad_restricted, pd)
@@ -469,10 +467,9 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
         done = _converged(w_next, w, cfg.rel_tol)
         w, w_support = w_next, w_next_support
         z, z_support = z_next, cols.idx[z_next[cols.idx] != 0.0]
-        if stochastic and (done or stalled_now):
+        if gradient_fn is not None and (done or stalled_now):
             # A small or zero move along an estimate says nothing about
             # stationarity; finish on the exact gradient.
-            stochastic = False
             gradient_fn = None
             continue
         if done:
@@ -505,7 +502,8 @@ def solve_aiht(problem: SparseRegressionProblem, cfg: SolverConfig,
     ``capture``, when given a list, receives per-iteration internals (used by
     the theory checker and the line-search certificates).
     """
-    return _accelerated_iht(problem, cfg, debias=False, capture=capture)
+    return _accelerated_iht(problem, cfg, debias=False,
+                            max_iters=cfg.effective_max_iters(), capture=capture)
 
 
 def solve_aiht_debias(problem: SparseRegressionProblem, cfg: SolverConfig,
@@ -518,7 +516,8 @@ def solve_aiht_debias(problem: SparseRegressionProblem, cfg: SolverConfig,
     projection is applied). A zero restricted gradient skips the refinement
     for that iteration.
     """
-    return _accelerated_iht(problem, cfg, debias=True, capture=capture)
+    return _accelerated_iht(problem, cfg, debias=True,
+                            max_iters=cfg.effective_max_iters(), capture=capture)
 
 
 def solve_aiht_batched(problem: SparseRegressionProblem, cfg: SolverConfig,
@@ -535,14 +534,14 @@ def solve_aiht_batched(problem: SparseRegressionProblem, cfg: SolverConfig,
     first stochastic step that passes the ``rel_tol`` test or has step 0
     switches the solve to the exact gradient for all later iterations, so a
     run reports ``converged`` or ``stalled`` only from exact-gradient steps,
-    and ``max_iters`` otherwise. With ``batch_fraction=1`` the masks are the
-    identity, the estimator is the exact gradient, and the trace matches
-    ``solve_aiht`` exactly.
+    and ``max_iters`` otherwise. With ``batch_fraction=1`` the masks would
+    be the identity, so no estimator is drawn: the solve runs on the exact
+    gradient and its trace matches ``solve_aiht`` exactly.
     """
-    rng = np.random.default_rng(cfg.rng_seed)
-
-    def grad_at(v: np.ndarray) -> np.ndarray:
-        return stochastic_gradient(problem, v, cfg.batch_fraction, rng)
-
-    return _accelerated_iht(problem, cfg, debias=False, gradient_fn=grad_at,
-                            batched=True, capture=capture)
+    gradient_fn = None
+    if cfg.batch_fraction < 1.0:
+        gradient_fn = partial(stochastic_gradient, problem, batch_fraction=cfg.batch_fraction,
+                              rng=np.random.default_rng(cfg.rng_seed))
+    return _accelerated_iht(problem, cfg, debias=False,
+                            max_iters=cfg.effective_max_iters(batched=True),
+                            gradient_fn=gradient_fn, capture=capture)

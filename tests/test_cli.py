@@ -389,6 +389,17 @@ class TestMainEntry:
                    "--no-timing", "--step", "1e12"])
         assert rc == 1
 
+    def test_failed_build_exits_one_with_its_error(self, tmp_path, capsys):
+        rc = main(["build", "--experiment", "gaussian", "--solver", "vanilla",
+                   "--step", "1e300", "--k", "3", "--dim", "3", "--n-data", "30",
+                   "--s-count", "50", "--outdir", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: DivergenceError: objective became non-finite "
+                                "at iteration 0\n")
+        assert not list(tmp_path.glob("build_*.json"))
+
     def test_evaluate_missing_weights_file_exits_one(self, tmp_path, capsys):
         rc = main(["evaluate", "--weights", str(tmp_path / "absent.json")])
         assert rc == 1

@@ -290,6 +290,11 @@ class TestBruteForceOptimum:
         assert np.all(u >= 0)
         assert np.all(grad[u == 0] >= -tol)
         np.testing.assert_allclose(grad[u > 0], 0.0, atol=tol)
+        if block == "duplicate_column":
+            # Columns 1 and 3 tie exactly at every point: the lower index
+            # enters, and column 3, dependent on it, never does.
+            assert (phi.T @ y)[1] == (phi.T @ y)[3]
+            assert u[1] > 0 and u[3] == 0
 
 
 class TestContractionFactor:

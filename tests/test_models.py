@@ -754,6 +754,63 @@ class TestLaplaceApproximation:
         np.testing.assert_allclose(got.mean, conj.mean, atol=1e-12)
 
 
+class TestFitFactorisesOnce:
+    """A fit's one Cholesky of H is the posterior's factor pair."""
+
+    @staticmethod
+    def radial_basis_fits():
+        model = synth_radial_basis_model(1000, [0.2, 0.4, 0.8, 1.2, 1.6, 2.0], 50, (0, 0, 0))
+        rng = np.random.default_rng(1)
+        w = np.zeros(1000)
+        w[rng.choice(1000, 60, replace=False)] = rng.uniform(0.0, 20.0, 60)
+        return model, {"full_data": np.ones(1000), "coreset_60": w}
+
+    def test_conjugate_fit_calls_cholesky_and_inv_once(self, monkeypatch):
+        model = small_model("linear_regression")
+        calls = {"cholesky": 0, "inv": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        conjugate_posterior(model, np.linspace(0.0, 2.0, 12))
+        assert calls == {"cholesky": 1, "inv": 1}
+
+    @pytest.mark.parametrize("fit", ["full_data", "coreset_60"])
+    def test_factor_pair_matches_the_inverse_of_h(self, fit):
+        model, weights = self.radial_basis_fits()
+        post = conjugate_posterior(model, weights[fit])
+        _, grad, neg_hess = model.log_joint(np.zeros(model.theta_dim), weights[fit])
+        cov = np.linalg.inv(neg_hess)
+        ref = GaussianDist(np.linalg.solve(neg_hess, grad), (cov + cov.T) / 2.0)
+        for name in ("mean", "cov", "chol", "chol_inv"):
+            got, want = getattr(post, name), getattr(ref, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+        rng = np.random.default_rng(4)
+        for x in post.mean + rng.standard_normal((5, post.dim)):
+            u = solve_triangular(post.chol, x - post.mean, lower=True)
+            logpdf = -0.5 * (post.dim * np.log(2 * np.pi)
+                             + 2.0 * np.sum(np.log(np.diag(post.chol))) + u @ u)
+            assert post.logpdf(x) == pytest.approx(logpdf, rel=1e-12)
+
+    def test_non_positive_definite_h_raises_curvature_error(self, monkeypatch):
+        with pytest.raises(models.CurvatureError):
+            models._covariance_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        model = small_model("linear_regression")
+        monkeypatch.setattr(BayesianModel, "log_joint",
+                            lambda self, theta, w: (0.0, np.zeros(3), -np.eye(3)))
+        with pytest.raises(models.CurvatureError):
+            conjugate_posterior(model, np.ones(12))
+
+    def test_fitted_constructor_refuses_a_non_finite_mean(self):
+        chol, chol_inv = models._covariance_factor(np.eye(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            GaussianDist._fitted(np.array([0.0, np.nan]), chol, chol_inv)
+
+
 class TestSynthGaussian:
     def test_no_data_gives_prior(self):
         model, post = synth_gaussian_dataset(3, 0, seed=0)

@@ -30,10 +30,10 @@ from coreset_iht import (
     stochastic_gradient,
 )
 from coreset_iht import problem as problem_module
+from coreset_iht import solvers as solvers_module
 from coreset_iht.problem import _Columns
 from coreset_iht.solvers import (
     TraceRecord,
-    _accelerated_iht,
     _converged,
     _exact_step,
     _line_minimizer,
@@ -473,28 +473,29 @@ class TestKernelCapture:
 
 
 class TestStallTermination:
-    def test_two_consecutive_degenerate_steps_stop(self):
-        # White-box: a gradient stub whose later values lie in null(phi)
-        # makes ||phi g|S|| = 0 twice in a row without the iterates settling.
+    def test_two_consecutive_degenerate_steps_stop(self, monkeypatch):
+        # White-box: an exact-gradient stub whose later values lie in
+        # null(phi) makes ||phi g|S|| = 0 twice in a row without the iterates
+        # settling.
         phi = np.array([[1.0, -1.0, 2.0]])
         problem = SparseRegressionProblem(phi, [0.324543013039607])
         seq = [np.array(v, dtype=float) for v in
                ([1, -3, 0], [2, 0, -1], [2, 1, 1], [9, 3, -3], [6, 0, -3], [-2, 2, 2])]
         calls = {"i": 0}
 
-        def stub(_z):
+        def stub(_problem, _r):
             i = min(calls["i"], len(seq) - 1)
             calls["i"] += 1
             return seq[i]
 
-        w, trace = _accelerated_iht(problem, SolverConfig(k=1, max_iters=8),
-                                    debias=False, gradient_fn=stub)
+        monkeypatch.setattr(solvers_module, "_gradient", stub)
+        w, trace = solve_aiht(problem, SolverConfig(k=1, max_iters=8))
         assert trace.termination is Termination.STALLED
         assert np.all(w.w >= 0)
 
 
 class TestNonFiniteStep:
-    def test_infinite_projected_step_is_divergence(self):
+    def test_infinite_projected_step_is_divergence(self, monkeypatch):
         # White-box: phi's first column is so small that the exact step along
         # the stub gradient is 2.5e155, and mu * g overflows to -inf, so the
         # projected step selects +inf. Carried on, the debias products would
@@ -502,13 +503,11 @@ class TestNonFiniteStep:
         problem = SparseRegressionProblem(np.array([[1e-78, 1.0], [-1e-78, 1.0]]),
                                           [1.0, 1.0])
 
-        def stub(_z):
-            return np.array([-1e153, 0.0])
-
-        for debias in (False, True):
+        monkeypatch.setattr(solvers_module, "_gradient",
+                            lambda _problem, _r: np.array([-1e153, 0.0]))
+        for solver in (solve_aiht, solve_aiht_debias):
             with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
-                _accelerated_iht(problem, SolverConfig(k=1, max_iters=5),
-                                 debias=debias, gradient_fn=stub)
+                solver(problem, SolverConfig(k=1, max_iters=5))
             assert err.value.iteration == 0
 
 
