@@ -10,6 +10,7 @@ regression target (for coreset problems, the sum of all columns).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -207,17 +208,20 @@ def _gradient(problem: SparseRegressionProblem, r: np.ndarray) -> np.ndarray:
 def _top_k_mask(a: np.ndarray, k: int) -> np.ndarray:
     """Mask of the k largest entries of ``a``, ties toward the lowest index.
 
-    One O(n) selection finds the k-th largest value; everything above it is
-    kept, and the remaining places go to the lowest-index entries equal to
-    it. That is the first k of a stable descending sort.
+    One O(n) selection finds the k-th largest value and one comparison
+    keeps every entry at or above it. Only when more than k entries qualify,
+    because several equal the k-th value, are the highest-index entries equal
+    to it dropped. That is the first k of a stable descending sort. A NaN is
+    never kept, so a vector with NaNs may get fewer than k entries.
     """
     n = a.shape[0]
     if k >= n:
         return np.ones(n, dtype=bool)
     kth = np.partition(a, n - k)[n - k]
-    keep = a > kth
-    ties = np.flatnonzero(a == kth)
-    keep[ties[:k - np.count_nonzero(keep)]] = True
+    keep = a >= kth
+    extra = np.count_nonzero(keep) - k
+    if extra > 0:
+        keep[(a == kth).nonzero()[0][-extra:]] = False
     return keep
 
 
@@ -227,7 +231,20 @@ def project_topk_nonneg(v, k: int) -> WeightVector:
     Negative entries are zeroed, then the k largest remaining entries are
     kept. Ties break toward the lowest index so the projection is
     deterministic; zero entries are valid candidates but never beat strictly
-    positive ones and never enter the support.
+    positive ones and never enter the support. A NaN entry raises
+    ``ValueError``, as +inf does (a weight must be finite); -inf is clipped
+    to 0 like any negative entry.
+    """
+    v = _ranked_vector(v, k)
+    clipped = np.where(v > 0, v, 0.0)
+    return WeightVector(np.where(_top_k_mask(clipped, k), clipped, 0.0))
+
+
+def _ranked_vector(v, k: int) -> np.ndarray:
+    """``v`` as a 1-D float64 vector to select k entries from, checked.
+
+    A NaN has no rank: ``_top_k_mask`` never keeps one, so it would leave
+    a k-th place empty while a finite candidate is left out.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
@@ -235,8 +252,10 @@ def project_topk_nonneg(v, k: int) -> WeightVector:
     n = v.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    clipped = np.where(v > 0, v, 0.0)
-    return WeightVector(np.where(_top_k_mask(clipped, k), clipped, 0.0))
+    # The max is NaN exactly when an entry is; no n-length boolean temporary.
+    if math.isnan(v.max()):
+        raise ValueError("input contains NaN")
+    return v
 
 
 def _index_array(indices, name: str) -> np.ndarray:
@@ -258,30 +277,21 @@ def project_topk_excluding(v, k: int, excluded: Iterable[int]) -> np.ndarray:
 
     Returns a sorted index array; fewer than k indices when fewer candidates
     remain. Ties break toward the lowest index. ``excluded`` holds integer
-    indices; a boolean mask or a float raises ``TypeError``.
+    indices; a boolean mask or a float raises ``TypeError``. A NaN entry of
+    ``v`` raises ``ValueError``.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"input must be 1-D, got shape {v.shape}")
+    v = _ranked_vector(v, k)
     n = v.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
     excluded = _index_array(excluded, "excluded")
     if excluded.size and (excluded.min() < 0 or excluded.max() >= n):
         raise ValueError("excluded indices out of range")
-    return _top_k_excluding(v, k, excluded)
-
-
-def _top_k_excluding(v: np.ndarray, k: int, excluded: np.ndarray) -> np.ndarray:
-    """``project_topk_excluding`` for a float64 vector, 1 <= k <= n and
-    int64 indices in range, none of which is checked."""
     # Magnitudes are >= 0, so -1 ranks every excluded entry below every
     # candidate.
     magnitude = np.abs(v)
     magnitude[excluded] = -1.0
     keep = _top_k_mask(magnitude, k)
     keep[excluded] = False
-    return np.flatnonzero(keep)
+    return keep.nonzero()[0]
 
 
 def restrict(v, support: Iterable[int]) -> np.ndarray:

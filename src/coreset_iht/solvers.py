@@ -29,20 +29,24 @@ is above s_dim / 2 (radial-basis) has no such factor and is solved as it is.
 
 Beyond that product an iteration makes O(n) passes over dense n-vectors and
 no more: the two top-k selections (the gradient outside supp(z), and the
-projected step), each an O(n) partition plus one scan for its ties and one
-for its mask; elementwise arithmetic for the projected step, the debias
-step and the momentum extrapolation; and the reductions ||d||^2 and the two
-norms of the convergence test. The supports of z, w and x are carried as
-sorted index arrays, so no other pass scans for nonzeros, and no
-``WeightVector`` is validated until the solve returns. The image of z
-reuses the columns the previous iteration gathered for supp(x) and supp(w),
-which are supp(z) unless a coordinate of z cancelled, and those columns are
-gathered again only when supp(x) and supp(w) join to a new set. Index sets
-are joined by ``_sorted_union``, not ``np.union1d``, and the kernel passes
-its own index arrays to the unchecked cores of ``project_topk_excluding``
-and ``restrict``. On the factors, at seed 0, a logistic-wide iteration
-(32 x 5000) takes about 206 us against a 55 us gradient, and a
-gaussian-paper one (21 x 100) about 82 us against a 9 us gradient (perfbench
+projected step), each an O(n) partition, one comparison with the k-th value
+and a count, plus a scan for ties only when more than k entries reach the
+k-th value; elementwise arithmetic for the projected step, the debias step
+and the momentum extrapolation; and the reductions ||d||^2 and the two
+norms of the convergence test. Each selection is a boolean n-mask, and an
+index set is read from a mask by one scan for nonzeros: the expanded
+support is the expansion's mask with supp(z) set in it, and
+supp(x) | supp(w) is the mask of x with supp(w) set in it, so no index set
+is sorted or merged. The supports of z, w and x are carried as sorted index
+arrays, so no other pass scans for nonzeros, and no ``WeightVector`` is
+validated until the solve returns. The image of z reuses the columns the
+previous iteration gathered for supp(x) and supp(w), which are supp(z)
+unless a coordinate of z cancelled, and those columns are gathered again
+only when supp(x) and supp(w) join to a new set. The kernel selects from
+vectors it made itself, so it skips the NaN check of the public top-k
+helpers. On the factors, at seed 0, a logistic-wide iteration (about
+30 x 5000) takes about 290 us against a 92 us gradient, and a
+gaussian-paper one (21 x 100) about 90 us against a 15 us gradient (perfbench
 ``--trace 1``, 2 vCPUs): what is left is the O(n) passes and the per-call
 overhead of the numpy calls.
 
@@ -77,7 +81,6 @@ from .problem import (
     _Columns,
     _gradient,
     _residual,
-    _top_k_excluding,
     _top_k_mask,
     gradient,
     objective,
@@ -289,17 +292,18 @@ def _converged(w_new: np.ndarray, w_old: np.ndarray, rel_tol: float) -> bool:
     return math.sqrt(d @ d) <= rel_tol * math.sqrt(w_new @ w_new)
 
 
-def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.union1d`` of two int64 index arrays: sort the concatenation and
-    drop each entry equal to its predecessor. ``np.union1d`` goes through
-    the general ``np.unique``, which costs several times more on the few
-    hundred indices of a support."""
-    merged = np.concatenate((a, b))
-    merged.sort()
-    keep = np.empty(merged.shape[0], dtype=bool)
-    keep[:1] = True
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    return merged[keep]
+def _expanded_support(grad: np.ndarray, k: int, z_support: np.ndarray) -> np.ndarray:
+    """supp(z) joined with the k largest-magnitude gradient entries outside
+    it, as a sorted index array: ``np.union1d(project_topk_excluding(grad, k,
+    z_support), z_support)`` for the kernel's own ``z_support``, read from
+    one selection mask."""
+    # Magnitudes are >= 0, so -1 ranks every entry of supp(z) below every
+    # candidate; an entry of supp(z) that fills a place is in the union anyway.
+    magnitude = np.abs(grad)
+    magnitude[z_support] = -1.0
+    keep = _top_k_mask(magnitude, k)
+    keep[z_support] = True
+    return keep.nonzero()[0]
 
 
 def _projected_step(v: np.ndarray, k: int, t: int):
@@ -307,9 +311,9 @@ def _projected_step(v: np.ndarray, k: int, t: int):
     k indices it selects and their entries. A selected zero is not in the
     support. A non-finite selected entry raises ``DivergenceError(t)``."""
     clipped = np.where(v > 0, v, 0.0)
-    selected = np.flatnonzero(_top_k_mask(clipped, k))
+    selected = _top_k_mask(clipped, k).nonzero()[0]
     values = clipped[selected]
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DivergenceError(t)
     return selected, values
 
@@ -339,7 +343,7 @@ def solve_vanilla_iht(problem: SparseRegressionProblem, cfg: SolverConfig,
             w_next = np.zeros(problem.n)
             w_next[selected] = values
             f = objective(problem, w_next)
-            if not np.isfinite(f):
+            if not math.isfinite(f):
                 raise DivergenceError(t)
             ns = time.perf_counter_ns() - t0
             support = selected[values != 0.0]
@@ -400,7 +404,7 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
         # |support| <= 3k. grad_restricted is restrict(grad, support),
         # scattered from the gathered entries; the indices are the kernel's
         # own, so none is checked again.
-        support = _sorted_union(_top_k_excluding(grad, cfg.k, z_support), z_support)
+        support = _expanded_support(grad, cfg.k, z_support)
         grad_support = grad[support]
         grad_restricted = np.zeros(n)
         grad_restricted[support] = grad_support
@@ -420,7 +424,9 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
         # Every later product of the iteration is with a vector that is zero
         # outside supp(x) and supp(w), so those columns are gathered once,
         # or not at all when the last iteration gathered the same set.
-        xw_support = _sorted_union(selected[values != 0.0], w_support)
+        xw = x != 0.0
+        xw[w_support] = True
+        xw_support = xw.nonzero()[0]
         if xw_support.shape != cols.idx.shape or (xw_support != cols.idx).any():
             cols = _Columns(problem.phi, xw_support)
 
@@ -443,7 +449,7 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
         tau = _line_minimizer(r_next, cols.image(step))
         z_next = w_next + tau * step
         f = float(r_next @ r_next)
-        if not np.isfinite(f):
+        if not math.isfinite(f):
             raise DivergenceError(t)
         # w_next and z_next are zero outside the gathered columns.
         w_next_support = cols.idx[w_next[cols.idx] != 0.0]

@@ -243,6 +243,12 @@ class TestProjectTopkNonneg:
         w = project_topk_nonneg([2.0, 2.0, 2.0], 2)
         assert w.support.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("v", [[np.nan, 1.0, 2.0], [1.0, -np.nan], [np.nan]])
+    def test_nan_refused(self, v):
+        # Clipping read a NaN as weight 0, while +inf was refused.
+        with pytest.raises(ValueError, match="NaN"):
+            project_topk_nonneg(v, 1)
+
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(7)
         for _ in range(60):
@@ -273,6 +279,17 @@ class TestProjectTopkExcluding:
             ranked = sorted((i for i in range(10) if i not in excluded),
                             key=lambda i: (-abs(v[i]), i))
             assert sorted(got.tolist()) == sorted(ranked[:3])
+
+    @pytest.mark.parametrize("excluded", [[], [0]])
+    def test_nan_refused(self, excluded):
+        # A NaN took the k-th place and was then dropped, so k = 2 gave [2]
+        # although index 1 is a candidate.
+        with pytest.raises(ValueError, match="NaN"):
+            project_topk_excluding([np.nan, 1.0, 2.0], 2, excluded)
+
+    def test_infinite_magnitude_ranks_first(self):
+        idx = project_topk_excluding([1.0, -np.inf, 2.0, np.inf], 2, [])
+        assert idx.tolist() == [1, 3]
 
     def test_out_of_range_excluded(self):
         with pytest.raises(ValueError):

@@ -36,8 +36,8 @@ from coreset_iht.solvers import (
     TraceRecord,
     _converged,
     _exact_step,
+    _expanded_support,
     _line_minimizer,
-    _sorted_union,
 )
 from conftest import random_problem, recovery_problem
 
@@ -584,9 +584,12 @@ class TestKernelMatchesReference:
     # supp(x) and supp(w) stay below it, a tall one whose products all read
     # the whole of phi, and a saturated one (3k > n) where supp(z) leaves
     # fewer than k candidates for the expansion. Its target is the coreset
-    # one, phi @ 1, whose fit keeps every support full.
+    # one, phi @ 1, whose fit keeps every support full. The tied one has the
+    # coreset target and a 4-row phi of entries -1, 0 and 1, so only a few
+    # gradient magnitudes occur and they tie at the k-th place of the
+    # expansion in most iterations.
     PROBLEMS = {"wide": (30, 2000, 5), "crossing": (40, 120, 8), "tall": (300, 12, 3),
-                "saturated": (50, 10, 6)}
+                "saturated": (50, 10, 6), "tied": (4, 60, 4)}
 
     @pytest.mark.parametrize("shape", sorted(PROBLEMS))
     @pytest.mark.parametrize("variant", ["aiht", "aiht_debias", "batched_1", "batched_0.2"])
@@ -595,6 +598,9 @@ class TestKernelMatchesReference:
         rng = np.random.default_rng(21)
         if shape == "saturated":
             problem = SparseRegressionProblem.from_columns(rng.standard_normal((s_dim, n)))
+        elif shape == "tied":
+            problem = SparseRegressionProblem.from_columns(
+                rng.integers(-1, 2, size=(s_dim, n)).astype(np.float64))
         else:
             problem = random_problem(rng, s_dim, n, y_scale=3.0)
         batch_fraction = 0.2 if variant == "batched_0.2" else 1.0
@@ -627,6 +633,14 @@ class TestKernelMatchesReference:
             assert max(sizes) <= n / 8
         elif shape == "saturated":
             assert max(np.count_nonzero(c["z"]) for c in capture) > n - k
+        elif shape == "tied":
+            # More than k candidates reach the k-th largest magnitude, so
+            # the selection drops the highest-index ties.
+            def tied_at_kth(c):
+                magnitude = np.abs(c["grad"])
+                magnitude[c["z"] != 0.0] = -1.0
+                return np.count_nonzero(magnitude >= np.sort(magnitude)[-k]) > k
+            assert any(tied_at_kth(c) for c in capture)
 
     @pytest.mark.parametrize("solver", [solve_aiht, solve_aiht_debias, solve_aiht_batched])
     def test_one_weight_vector_per_solve(self, solver, monkeypatch):
@@ -661,27 +675,33 @@ class TestKernelMatchesReference:
         assert not calls
 
 
-def sorted_indices():
-    return st.sets(st.integers(0, 40), max_size=25).map(
-        lambda s: np.array(sorted(s), dtype=np.int64))
+@st.composite
+def expansion_cases(draw):
+    """A gradient over a few repeated magnitudes (ties at the k-th place)
+    mixed with arbitrary finite floats, k up to n, and a supp(z) that may
+    leave fewer than k candidates."""
+    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]) | st.floats(
+        -1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    grad = np.array(draw(st.lists(values, min_size=1, max_size=30)))
+    n = grad.shape[0]
+    k = draw(st.integers(1, n))
+    z_support = np.array(sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))),
+                         dtype=np.int64)
+    return grad, k, z_support
 
 
-class TestSortedUnion:
-    EMPTY = np.zeros(0, dtype=np.int64)
-
+class TestExpandedSupport:
     @settings(max_examples=300, deadline=None)
-    @given(sorted_indices(), sorted_indices(), st.sampled_from(["drawn", "equal", "disjoint"]))
-    @example(EMPTY, EMPTY, "drawn")
-    @example(EMPTY, np.array([3, 7]), "drawn")
-    @example(np.array([1, 5]), EMPTY, "drawn")
-    def test_equals_union1d(self, a, b, relation):
-        if relation == "equal":
-            b = a.copy()
-        elif relation == "disjoint":
-            b = np.setdiff1d(b, a)
-        got = _sorted_union(a, b)
+    @given(expansion_cases())
+    @example((np.array([1.0, -1.0, 1.0, 1.0]), 2, np.array([0], dtype=np.int64)))
+    @example((np.array([3.0, 1.0, 2.0]), 2, np.array([0, 2], dtype=np.int64)))
+    @example((np.array([3.0, 1.0]), 1, np.array([0, 1], dtype=np.int64)))
+    def test_equals_union_of_public_selection(self, case):
+        grad, k, z_support = case
+        got = _expanded_support(grad, k, z_support)
         assert got.dtype == np.int64
-        assert np.array_equal(got, np.union1d(a, b))
+        assert np.array_equal(
+            got, np.union1d(project_topk_excluding(grad, k, z_support), z_support))
 
 
 class TestTraceSerialization:
