@@ -248,24 +248,38 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     return runs
 
 
+def _quantiles(values) -> tuple:
+    """(median, 25th, 75th percentile) of ``values``, bit for bit what
+    np.median and np.percentile's linear rule give, without the numpy.ma
+    import those make on first use. A NaN makes all three NaN, as in numpy."""
+    v = sorted(float(x) for x in values)
+    n = len(v)
+    if any(x != x for x in v):
+        return (float("nan"),) * 3
+    median = v[n // 2] if n % 2 else (v[n // 2 - 1] + v[n // 2]) / 2
+    quartiles = []
+    for q in (0.25, 0.75):
+        index = (n - 1) * q  # numpy's n q + (1 - q) - 1, exact for quarters
+        lo = int(index)
+        t = index - lo
+        a, b = v[lo], v[min(lo + 1, n - 1)]
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return (median, *quartiles)
+
+
 def _aggregate(cfg: ExperimentConfig, runs: list) -> str:
     """Build the aggregate CSV text: medians and quartiles per k."""
     lines = [f"# config={cfg.to_json()}", ",".join(CSV_COLUMNS)]
     for k in cfg.k_list:
         good = [r for r in runs if r["k"] == k and "error" not in r]
         if good:
-            fkl = [r["metrics"]["fkl"] for r in good]
-            rkl = [r["metrics"]["rkl"] for r in good]
-            skl = [r["metrics"]["skl"] for r in good]
-            map_l2 = [r["metrics"]["map_l2"] for r in good]
-            times = [r["time_ns"] for r in good]
-            cells = [cfg.experiment, cfg.solver, str(k), str(len(good)),
-                     repr(float(np.median(fkl))), repr(float(np.percentile(fkl, 25))),
-                     repr(float(np.percentile(fkl, 75))),
-                     repr(float(np.median(rkl))), repr(float(np.percentile(rkl, 25))),
-                     repr(float(np.percentile(rkl, 75))),
-                     repr(float(np.median(skl))), repr(float(np.median(map_l2))),
-                     repr(float(np.median(times)))]
+            fkl = _quantiles(r["metrics"]["fkl"] for r in good)
+            rkl = _quantiles(r["metrics"]["rkl"] for r in good)
+            medians = [_quantiles(r["metrics"]["skl"] for r in good)[0],
+                       _quantiles(r["metrics"]["map_l2"] for r in good)[0],
+                       _quantiles(r["time_ns"] for r in good)[0]]
+            cells = ([cfg.experiment, cfg.solver, str(k), str(len(good))]
+                     + [repr(v) for v in (*fkl, *rkl, *medians)])
         else:
             cells = [cfg.experiment, cfg.solver, str(k), "0"] + [""] * 9
         lines.append(",".join(cells))

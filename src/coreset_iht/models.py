@@ -66,6 +66,41 @@ def _expit(t):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
+def _softplus(t: np.ndarray, tmp: np.ndarray, log_sigmoid: bool = False) -> np.ndarray:
+    """Overwrite ``t`` with softplus(t) = log(1 + e^t) = max(t, 0) +
+    log1p(e^-|t|), or with log sigmoid(t) = -softplus(-t) = min(t, 0) -
+    log1p(e^-|t|), and return it; ``tmp`` is scratch of ``t``'s shape.
+
+    This is np.logaddexp(0, t)'s formula, but on numpy's vectorised exp and
+    log1p rather than its scalar loop, so an entry may differ from it in the
+    last bit. e^-|t| never overflows; +-inf give what logaddexp gives, and a
+    NaN stays NaN.
+    """
+    np.abs(t, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.log1p(tmp, out=tmp)
+    if log_sigmoid:
+        np.minimum(t, 0.0, out=t)
+        return np.subtract(t, tmp, out=t)
+    np.maximum(t, 0.0, out=t)
+    return np.add(t, tmp, out=t)
+
+
+_CHUNK_ENTRIES = 8192  # entries per row chunk of an in-place likelihood finish
+
+
+def _row_chunks(a: np.ndarray):
+    """(row slice, rows, scratch) over consecutive row blocks of the 2-D
+    ``a``, about ``_CHUNK_ENTRIES`` entries each (at least one row), with one
+    scratch array reused for all of them."""
+    step = max(1, _CHUNK_ENTRIES // max(1, a.shape[1]))
+    scratch = np.empty((min(step, a.shape[0]), a.shape[1]))
+    for lo in range(0, a.shape[0], step):
+        rows = a[lo:lo + step]
+        yield slice(lo, lo + step), rows, scratch[:rows.shape[0]]
+
+
 def _tril_inv(chol: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular matrix with a positive diagonal; the
     dense inverse leaves rounding residue above the diagonal, cleared here."""
@@ -82,7 +117,8 @@ class GaussianDist:
     finiteness, symmetry and positive definiteness, then factors and inverts
     it. ``GaussianDist._fitted(mean, chol, chol_inv)`` takes the pair a
     posterior fit already holds from its one factorisation of the precision
-    (``_covariance_factor``) and factors nothing.
+    (``_covariance_factor``) and factors nothing; it forms ``cov`` = L Lᵀ
+    only when ``cov`` is first read.
     """
 
     mean: np.ndarray
@@ -106,26 +142,35 @@ class GaussianDist:
             chol = np.linalg.cholesky((cov + cov.T) / 2.0)
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance is not positive definite") from exc
-        self._set(mean, cov, chol, _tril_inv(chol))
+        for name, value in (("mean", mean), ("cov", cov), ("chol", chol),
+                            ("chol_inv", _tril_inv(chol))):
+            object.__setattr__(self, name, _frozen_array(value))
 
     @classmethod
     def _fitted(cls, mean: np.ndarray, chol: np.ndarray, chol_inv: np.ndarray) -> "GaussianDist":
         """N(mean, chol chol^T) from a fit's factor pair, ``chol_inv`` the
-        inverse of ``chol``. Only finiteness is checked: it is the last guard
-        against a non-finite Newton result."""
-        cov = chol @ chol.T
-        cov = (cov + cov.T) / 2.0
-        if not all(np.all(np.isfinite(a)) for a in (mean, cov, chol, chol_inv)):
+        inverse of ``chol``. The three arrays are the fit's own and are
+        frozen in place, not copied; ``cov`` is formed on its first read.
+        Only finiteness is checked: it is the last guard against a
+        non-finite Newton result."""
+        if not all(np.all(np.isfinite(a)) for a in (mean, chol, chol_inv)):
             raise ValueError("mean/cov contain non-finite entries")
         dist = object.__new__(cls)
-        dist._set(mean, cov, chol, chol_inv)
+        for name, value in (("mean", mean), ("chol", chol), ("chol_inv", chol_inv)):
+            value.setflags(write=False)
+            object.__setattr__(dist, name, value)
         return dist
 
-    def _set(self, mean, cov, chol, chol_inv) -> None:
-        object.__setattr__(self, "mean", _frozen_array(mean))
-        object.__setattr__(self, "cov", _frozen_array(cov))
-        object.__setattr__(self, "chol", _frozen_array(chol))
-        object.__setattr__(self, "chol_inv", _frozen_array(chol_inv))
+    def __getattr__(self, name):
+        # Called only for a missing attribute: a fitted distribution's cov,
+        # which nothing in a sweep reads, is formed here once.
+        if name != "cov":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cov = self.chol @ self.chol.T
+        cov = (cov + cov.T) / 2.0
+        cov.setflags(write=False)
+        object.__setattr__(self, "cov", cov)
+        return cov
 
     @property
     def dim(self) -> int:
@@ -252,8 +297,9 @@ class BayesianModel:
         # whose log joint is not finite.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x, y = self.dataset.x[rows], self.dataset.y[rows]
-            # Each kind fills one S x N array and finishes it in place; the
-            # in-place ufuncs give the same bits as the out-of-place formulas.
+            # Each kind fills one array and finishes it in place, the GLMs a
+            # row chunk at a time with one chunk-sized temporary; the in-place
+            # ufuncs give the same bits as the out-of-place formulas.
             if self.kind == "gaussian_mean":
                 prec = self.obs_prec
                 _, logdet = np.linalg.slogdet(self.obs_cov)
@@ -275,20 +321,29 @@ class BayesianModel:
                 np.square(out, out=out)
                 out /= 2.0 * self.noise_var
                 return np.subtract(norm_const, out, out=out)
-            out = thetas @ _with_intercept(x).T
+            # The GLMs fill the N x S transpose, so the block they return is
+            # column-major like the projection: its column reductions read
+            # contiguous memory and build_projection's copy into phi is not
+            # a transpose.
+            z = _with_intercept(x)
             if self.kind == "logistic":
-                # -log(1 + exp(-y t))
-                np.multiply(out, -y[None, :], out=out)
-                np.logaddexp(0.0, out, out=out)
-                return np.negative(out, out=out)
+                # log sigmoid(y t) = -log(1 + exp(-y t)). As y = +-1, signing
+                # the design rows gives y t exactly from one product.
+                out = (z * y[:, None]) @ thetas.T
+                for _, chunk, tmp in _row_chunks(out):
+                    _softplus(chunk, tmp, log_sigmoid=True)
+                return out.T
             # poisson: y log(lam) - lam - log y! with rate lam = softplus(t); an
             # underflowed rate gives a non-finite value
-            lam = np.logaddexp(0.0, out, out=out)
-            out = np.log(lam)
-            out *= y[None, :]
-            out -= lam
-            out -= self.log_factorial_y[rows][None, :]
-            return out
+            out = z @ thetas.T
+            log_factorial_y = self.log_factorial_y[rows]
+            for i, lam, tmp in _row_chunks(out):
+                _softplus(lam, tmp)
+                np.log(lam, out=tmp)
+                tmp *= y[i, None]
+                tmp -= lam
+                np.subtract(tmp, log_factorial_y[i, None], out=lam)
+            return out.T
 
     def log_likelihood(self, i: int, theta) -> float:
         """L_i(theta) for a single data point; errors on non-finite output."""
@@ -337,7 +392,7 @@ class BayesianModel:
                 grad += z.T @ (w * y * _expit(-y * t))
                 neg_hess += (z.T * (w * s * (1.0 - s))) @ z
             else:
-                lam = np.logaddexp(0.0, t)
+                lam = _softplus(t, np.empty_like(t))  # t is not read again
                 with np.errstate(divide="ignore", invalid="ignore"):
                     grad += z.T @ (w * (y * s / lam - s))
                     # -d2L/dt2 = s(1-s) - y (s(1-s) lam - s^2)/lam^2, >= 0 for y >= 0
@@ -439,9 +494,10 @@ class ProjectionSet:
     """Centered, 1/sqrt(S)-scaled log-likelihood evaluations, one column per
     data point.
 
-    ``phi`` is stored column-major and read-only; the array that
-    ``build_projection`` builds is kept as it is, not copied. Every entry
-    must be finite.
+    ``phi`` is stored column-major and read-only. ``ProjectionSet(phi)``
+    checks that every entry is finite and every column centred;
+    ``build_projection`` makes its projection with ``_built``, which keeps
+    the array it built as it is.
     """
 
     phi: np.ndarray
@@ -458,6 +514,15 @@ class ProjectionSet:
         if np.any(col_mean > 1e-10 * np.maximum(col_scale, 1e-300)):
             raise ValueError("projection columns are not centered")
         object.__setattr__(self, "phi", _frozen_array(phi, order="F"))
+
+    @classmethod
+    def _built(cls, phi: np.ndarray) -> "ProjectionSet":
+        """The projection around ``build_projection``'s own column-major,
+        read-only ``phi``, which the build has checked finite and centred as
+        it wrote it, so it is neither copied nor scanned again."""
+        proj = object.__new__(cls)
+        object.__setattr__(proj, "phi", phi)
+        return proj
 
     def to_problem(self) -> SparseRegressionProblem:
         """The coreset problem, target the column sum, on the rank-r Gram
@@ -477,11 +542,15 @@ def build_projection(model: BayesianModel, pi_hat: GaussianDist, s_count: int,
     scales by 1/sqrt(S).
 
     The log-likelihoods are evaluated on blocks of ``PROJECTION_BLOCK`` data
-    columns. Each block is centred, snapped and scaled in place and copied
-    into the one column-major S x N array that the projection keeps, which
-    is allocated once the first block exists. A build of N >
-    ``PROJECTION_BLOCK`` points therefore holds that array and at most two
-    blocks at its peak, and a one-block build two S x N arrays.
+    columns. Each block is centred and snapped in place, then divided by
+    sqrt(S) straight into its slot of the one column-major S x N array that
+    the projection keeps, which is allocated once the first block exists; a
+    GLM block is column-major already, so only a Gaussian one is transposed
+    on the way. A
+    build of N > ``PROJECTION_BLOCK`` points therefore holds that array, at
+    most two blocks and a row chunk of scratch at its peak, and a one-block
+    build two S x N arrays. The build checks each block as it goes, so the
+    ``ProjectionSet`` it returns does not scan ``phi`` again.
     """
     if s_count < 2:
         raise ValueError(f"s_count must be >= 2, got {s_count}")
@@ -494,6 +563,7 @@ def build_projection(model: BayesianModel, pi_hat: GaussianDist, s_count: int,
     thetas = pi_hat.sample(rng, s_count)
     phi = None
     bad = None  # the row-major first non-finite entry: (theta, data index)
+    overflow = False  # a finite block whose centred values are not all finite
     for lo in range(0, n, PROJECTION_BLOCK):
         block = model._log_likelihoods(thetas, slice(lo, lo + PROJECTION_BLOCK))
         col_max, col_min = block.max(axis=0), block.min(axis=0)
@@ -502,23 +572,31 @@ def build_projection(model: BayesianModel, pi_hat: GaussianDist, s_count: int,
             theta, col = np.argwhere(~np.isfinite(block))[0]
             first = (int(theta), lo + int(col))
             bad = first if bad is None else min(bad, first)
-        if bad is None:
-            block -= block.mean(axis=0, keepdims=True)
+        if bad is None and not overflow:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = block.mean(axis=0)
+                # Rounding is monotone, so every entry centres to a finite
+                # value exactly when both extremes do, and dividing by
+                # sqrt(S) > 1 keeps it finite.
+                overflow = not (np.all(np.isfinite(col_max - mean))
+                                and np.all(np.isfinite(col_min - mean)))
+                block -= mean
             # A column constant in theta centers to zero exactly; the mean
             # of equal values can round away from them, so its residue is
             # snapped out.
             block[:, col_max == col_min] = 0.0
-            block /= np.sqrt(s_count)
             if phi is None:
                 phi = np.empty((s_count, n), order="F")
-            phi[:, lo:lo + block.shape[1]] = block
+            np.divide(block, np.sqrt(s_count), out=phi[:, lo:lo + block.shape[1]])
         # Freed now, or it would stay alive while the next block is evaluated.
         del block
     if bad is not None:
         raise LikelihoodError(
             f"non-finite log-likelihood at data index {bad[1]} for sampled theta {bad[0]}")
+    if overflow:
+        raise ValueError("phi contains non-finite entries")
     phi.setflags(write=False)
-    return ProjectionSet(phi)
+    return ProjectionSet._built(phi)
 
 
 # -- posteriors -----------------------------------------------------------
@@ -536,7 +614,9 @@ def _covariance_factor(neg_hess: np.ndarray) -> tuple:
         m = np.linalg.cholesky(neg_hess[::-1, ::-1])
     except np.linalg.LinAlgError as exc:
         raise CurvatureError("negative Hessian of the log joint is not positive definite") from exc
-    chol_inv = m.T[::-1, ::-1]
+    # Column-major, as a copy of the reversed view always was: the products
+    # that read it round by its layout.
+    chol_inv = np.asfortranarray(m.T[::-1, ::-1])
     return _tril_inv(chol_inv), chol_inv
 
 

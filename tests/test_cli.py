@@ -575,13 +575,53 @@ class TestMainEntry:
         assert rc == 0
 
 
-def test_cli_import_loads_no_scipy():
-    # The package runs on numpy alone; scipy is a test-only dependency.
+def run_python(code, cwd=None):
+    """stdout of ``python -c code`` with this package on the path."""
     src = Path(coreset_iht.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120, cwd=cwd)
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # The package runs on numpy alone; scipy is a test-only dependency.
     code = ("import sys, coreset_iht.cli; "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
+
+
+def test_sweep_loads_no_numpy_ma(tmp_path):
+    # np.median and np.percentile import numpy.ma on first use, which a
+    # fresh sweep process would pay for its aggregate CSV alone.
+    code = ("import sys; from coreset_iht.cli import main; "
+            "main(['sweep', '--experiment', 'gaussian', '--dim', '2', '--n-data', '20', "
+            "'--s-count', '30', '--k', '3,5', '--trials', '3', '--outdir', 'out', "
+            "'--no-timing']); "
+            "print([m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')])")
+    assert run_python(code, cwd=tmp_path).splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "aggregate_gaussian_aiht.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["float", "int"])
+def test_quantiles_match_numpy_bit_for_bit(kind):
+    rng = np.random.default_rng(3)
+    for n in range(1, 41):
+        for _ in range(25):
+            if kind == "float":
+                values = list(rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9))
+            else:
+                values = [int(v) for v in rng.integers(0, 10 ** 12, n)]
+            want = (np.median(values), np.percentile(values, 25), np.percentile(values, 75))
+            got = cli._quantiles(values)
+            assert np.array_equal(np.array(got).view(np.int64),
+                                  np.array(want, dtype=np.float64).view(np.int64)), values
+
+
+def test_quantiles_of_non_finite_values_match_numpy():
+    for values in ([np.nan, 1.0, 2.0], [np.inf], [-np.inf, np.inf], [1.0, np.inf, np.inf],
+                   [-np.inf, 0.0, 2.0, np.inf]):
+        with np.errstate(invalid="ignore"):
+            want = (np.median(values), np.percentile(values, 25), np.percentile(values, 75))
+        np.testing.assert_array_equal(cli._quantiles(values), want)

@@ -86,7 +86,8 @@ class TestGaussianDist:
 
 
 class TestNumpyStandIns:
-    """The numpy expressions that replace scipy, with scipy as the oracle."""
+    """The numpy expressions that replace scipy or a scalar numpy loop, with
+    that as the oracle."""
 
     def test_expit_matches_scipy_without_warnings(self):
         t = np.concatenate([np.linspace(-1e3, 1e3, 20001),
@@ -98,6 +99,25 @@ class TestNumpyStandIns:
         np.testing.assert_allclose(got[normal], ref[normal], rtol=4 * EPS, atol=0)
         # subnormal and underflowed values agree to the subnormal spacing
         assert np.all(np.abs(got[~normal] - ref[~normal]) <= np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("log_sigmoid", [False, True])
+    def test_softplus_matches_logaddexp(self, log_sigmoid):
+        # softplus(t) = logaddexp(0, t); log sigmoid(t) = -logaddexp(0, -t).
+        rng = np.random.default_rng(6)
+        t = np.concatenate([rng.standard_normal(20000) * 10.0 ** rng.integers(-3, 3, 20000),
+                            np.linspace(-40.0, 40.0, 8001)])
+        with np.errstate(all="raise"):
+            got = models._softplus(t.copy(), np.empty_like(t), log_sigmoid=log_sigmoid)
+        ref = -np.logaddexp(0.0, -t) if log_sigmoid else np.logaddexp(0.0, t)
+        np.testing.assert_allclose(got, ref, rtol=4 * EPS, atol=0)
+
+    @pytest.mark.parametrize("log_sigmoid", [False, True])
+    def test_softplus_special_values_match_logaddexp(self, log_sigmoid):
+        t = np.array([np.inf, -np.inf, np.nan, 800.0, -800.0, 0.0, 1e-300, -1e-300])
+        got = models._softplus(t.copy(), np.empty_like(t), log_sigmoid=log_sigmoid)
+        with np.errstate(invalid="ignore"):
+            ref = -np.logaddexp(0.0, -t) if log_sigmoid else np.logaddexp(0.0, t)
+        np.testing.assert_array_equal(got, ref)
 
     def test_log_factorial_matches_gammaln(self):
         y = np.arange(0, 10 ** 6 + 1, dtype=float)
@@ -193,6 +213,17 @@ class TestLogLikelihood:
             rate = math.log1p(math.exp(0.7 * x - 0.3))
             expected = y * math.log(rate) - rate - math.lgamma(y + 1.0)
             assert model.log_likelihood(i, theta) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["logistic", "poisson"])
+    @pytest.mark.parametrize("entries", [1, 100])
+    def test_glm_finish_in_row_chunks(self, monkeypatch, kind, entries):
+        # The 50 x 23 transposed block in one-row chunks, or in four-row
+        # chunks and a short last one, gives the bits of a one-chunk finish.
+        model = projection_model(kind, 50)
+        thetas = np.random.default_rng(1).standard_normal((23, 3))
+        whole = model.log_likelihood_matrix(thetas)
+        monkeypatch.setattr(models, "_CHUNK_ENTRIES", entries)
+        np.testing.assert_array_equal(model.log_likelihood_matrix(thetas), whole)
 
     def test_index_out_of_range(self):
         model = gaussian_mean_model([[0.0]])
@@ -355,6 +386,18 @@ class TestBuildProjection:
         with pytest.raises(ValueError, match="phi contains non-finite entries"):
             models.ProjectionSet(phi)
 
+    def test_uncentred_projection_refused(self):
+        phi = np.random.default_rng(0).standard_normal((6, 4))
+        with pytest.raises(ValueError, match="not centered"):
+            models.ProjectionSet(phi)
+
+    def test_centring_overflow_refused(self):
+        # Finite log-likelihoods near -5e305 whose column sums overflow: the
+        # build refuses them as ProjectionSet(phi) would refuse its phi.
+        model = gaussian_mean_model([[1e153], [0.5]])
+        with pytest.raises(ValueError, match="phi contains non-finite entries"):
+            build_projection(model, GaussianDist([0.0], [[1.0]]), 400, seed=0)
+
     def test_monte_carlo_error_shrinks_at_root_s_rate(self):
         # average |finite-S objective - analytic value| over replicates must
         # fit a 1/sqrt(S) power law with R^2 >= 0.9
@@ -398,10 +441,15 @@ def reference_log_likelihoods(model, thetas):
     if model.kind == "linear_regression":
         norm_const = -0.5 * np.log(2 * np.pi * model.noise_var)
         return norm_const - (y[None, :] - thetas @ x.T) ** 2 / (2.0 * model.noise_var)
-    t = thetas @ np.hstack([x, np.ones((x.shape[0], 1))]).T
+    # The GLMs' softplus as the model writes it, log1p(exp(-|t|)) on numpy's
+    # vectorised ufuncs, where np.logaddexp's scalar loop can differ in the
+    # last bit; and, as the model does, on the transposed product, which
+    # keeps the result column-major and rounds by that layout.
+    t = (np.hstack([x, np.ones((x.shape[0], 1))]) @ thetas.T).T
     if model.kind == "logistic":
-        return -np.logaddexp(0.0, -y[None, :] * t)
-    lam = np.logaddexp(0.0, t)
+        s = y[None, :] * t
+        return np.minimum(s, 0.0) - np.log1p(np.exp(-np.abs(s)))
+    lam = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
     return y[None, :] * np.log(lam) - lam - model.log_factorial_y[None, :]
 
 
@@ -804,6 +852,19 @@ class TestFitFactorisesOnce:
                             lambda self, theta, w: (0.0, np.zeros(3), -np.eye(3)))
         with pytest.raises(models.CurvatureError):
             conjugate_posterior(model, np.ones(12))
+
+    def test_fit_forms_cov_on_its_first_read(self):
+        model, weights = self.radial_basis_fits()
+        post = conjugate_posterior(model, weights["coreset_60"])
+        assert "cov" not in vars(post)
+        assert not any(a.flags.writeable for a in (post.mean, post.chol, post.chol_inv))
+        cov = post.cov
+        ref = post.chol @ post.chol.T
+        ref = (ref + ref.T) / 2.0
+        assert np.array_equal(cov.view(np.int64), ref.view(np.int64))
+        assert post.cov is cov and not cov.flags.writeable
+        with pytest.raises(AttributeError):
+            post.precision_matrix
 
     def test_fitted_constructor_refuses_a_non_finite_mean(self):
         chol, chol_inv = models._covariance_factor(np.eye(2))
