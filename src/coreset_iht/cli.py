@@ -26,6 +26,7 @@ from .evaluation import (
     map_l2_distance,
 )
 from .models import (
+    MODEL_KINDS,
     BayesianModel,
     Dataset,
     GaussianDist,
@@ -112,6 +113,9 @@ class ExperimentConfig:
             raise ValueError(f"s_count must be >= 2, got {self.s_count}")
         if self.experiment == "csv" and not self.csv_path:
             raise ValueError("csv experiment needs csv_path")
+        if self.experiment == "csv" and self.csv_kind not in MODEL_KINDS:
+            raise ValueError(f"csv experiment needs csv_kind in {MODEL_KINDS}, "
+                             f"got {self.csv_kind!r}")
         _solver_config(self, self.k_list[0], 0)  # rejects bad solver settings before any run
         if self.solver == "vanilla" and not 0 < self.vanilla_step < np.inf:
             raise ValueError("vanilla solver needs vanilla_step > 0 and finite")
@@ -145,8 +149,7 @@ class ExperimentConfig:
 def _model_for_trial(cfg: ExperimentConfig, trial: int) -> BayesianModel:
     seed = (cfg.seed, trial, 0)
     if cfg.experiment == "gaussian":
-        model, _ = synth_gaussian_dataset(cfg.dim, cfg.n_data, seed)
-        return model
+        return synth_gaussian_dataset(cfg.dim, cfg.n_data, seed)
     if cfg.experiment == "radial_basis":
         return synth_radial_basis_model(cfg.n_data, cfg.basis_scales,
                                         cfg.per_scale_count, seed)

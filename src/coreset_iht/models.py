@@ -297,52 +297,48 @@ class BayesianModel:
         # whose log joint is not finite.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x, y = self.dataset.x[rows], self.dataset.y[rows]
-            # Each kind fills one array and finishes it in place, the GLMs a
-            # row chunk at a time with one chunk-sized temporary; the in-place
-            # ufuncs give the same bits as the out-of-place formulas.
+            # Each kind fills the N x S transpose from one product of its
+            # design with thetas.T, so every block is column-major like phi,
+            # and finishes it in place (the GLMs a row chunk at a time with
+            # one chunk-sized temporary) in the out-of-place formulas' bits.
             if self.kind == "gaussian_mean":
-                prec = self.obs_prec
                 _, logdet = np.linalg.slogdet(self.obs_cov)
                 norm_const = -0.5 * (x.shape[1] * np.log(2 * np.pi) + logdet)
-                xq = np.einsum("nd,nd->n", x @ prec, x)
-                tq = np.einsum("sd,sd->s", thetas @ prec, thetas)
+                xp = x @ self.obs_prec
+                xq = np.einsum("nd,nd->n", xp, x)
+                tq = np.einsum("sd,sd->s", thetas @ self.obs_prec, thetas)
                 # norm_const - 0.5 * (xq - 2 cross + tq)
-                out = thetas @ prec @ x.T
+                out = xp @ thetas.T
                 out *= 2.0
-                np.subtract(xq[None, :], out, out=out)
-                out += tq[:, None]
+                np.subtract(xq[:, None], out, out=out)
+                out += tq[None, :]
                 out *= 0.5
-                return np.subtract(norm_const, out, out=out)
-            if self.kind == "linear_regression":
+                np.subtract(norm_const, out, out=out)
+            elif self.kind == "linear_regression":
                 # norm_const - (y - preds)^2 / (2 noise_var)
-                out = thetas @ x.T
+                out = x @ thetas.T
                 norm_const = -0.5 * np.log(2 * np.pi * self.noise_var)
-                np.subtract(y[None, :], out, out=out)
+                np.subtract(y[:, None], out, out=out)
                 np.square(out, out=out)
                 out /= 2.0 * self.noise_var
-                return np.subtract(norm_const, out, out=out)
-            # The GLMs fill the N x S transpose, so the block they return is
-            # column-major like the projection: its column reductions read
-            # contiguous memory and build_projection's copy into phi is not
-            # a transpose.
-            z = _with_intercept(x)
-            if self.kind == "logistic":
+                np.subtract(norm_const, out, out=out)
+            elif self.kind == "logistic":
                 # log sigmoid(y t) = -log(1 + exp(-y t)). As y = +-1, signing
                 # the design rows gives y t exactly from one product.
-                out = (z * y[:, None]) @ thetas.T
+                out = (_with_intercept(x) * y[:, None]) @ thetas.T
                 for _, chunk, tmp in _row_chunks(out):
                     _softplus(chunk, tmp, log_sigmoid=True)
-                return out.T
-            # poisson: y log(lam) - lam - log y! with rate lam = softplus(t); an
-            # underflowed rate gives a non-finite value
-            out = z @ thetas.T
-            log_factorial_y = self.log_factorial_y[rows]
-            for i, lam, tmp in _row_chunks(out):
-                _softplus(lam, tmp)
-                np.log(lam, out=tmp)
-                tmp *= y[i, None]
-                tmp -= lam
-                np.subtract(tmp, log_factorial_y[i, None], out=lam)
+            else:
+                # poisson: y log(lam) - lam - log y! with rate lam =
+                # softplus(t); an underflowed rate gives a non-finite value
+                out = _with_intercept(x) @ thetas.T
+                log_factorial_y = self.log_factorial_y[rows]
+                for i, lam, tmp in _row_chunks(out):
+                    _softplus(lam, tmp)
+                    np.log(lam, out=tmp)
+                    tmp *= y[i, None]
+                    tmp -= lam
+                    np.subtract(tmp, log_factorial_y[i, None], out=lam)
             return out.T
 
     def log_likelihood(self, i: int, theta) -> float:
@@ -544,10 +540,9 @@ def build_projection(model: BayesianModel, pi_hat: GaussianDist, s_count: int,
     The log-likelihoods are evaluated on blocks of ``PROJECTION_BLOCK`` data
     columns. Each block is centred and snapped in place, then divided by
     sqrt(S) straight into its slot of the one column-major S x N array that
-    the projection keeps, which is allocated once the first block exists; a
-    GLM block is column-major already, so only a Gaussian one is transposed
-    on the way. A
-    build of N > ``PROJECTION_BLOCK`` points therefore holds that array, at
+    the projection keeps, which is allocated once the first block exists;
+    every block is column-major already, so that copy is contiguous. A build
+    of N > ``PROJECTION_BLOCK`` points therefore holds that array, at
     most two blocks and a row chunk of scratch at its peak, and a one-block
     build two S x N arrays. The build checks each block as it goes, so the
     ``ProjectionSet`` it returns does not scan ``phi`` again.
@@ -689,21 +684,18 @@ def full_data_posterior(model: BayesianModel) -> GaussianDist:
 
 # -- synthetic data generators --------------------------------------------
 
-def synth_gaussian_dataset(d: int, n: int, seed) -> tuple:
-    """Draw theta ~ N(0, I) and x_i ~ N(theta, I); return (model, posterior).
-
-    The returned posterior is the exact (conjugate) full-data posterior.
-    """
+def synth_gaussian_dataset(d: int, n: int, seed) -> BayesianModel:
+    """Draw theta ~ N(0, I) and x_i ~ N(theta, I); return the Gaussian-mean
+    model with prior N(0, I) and observation covariance I."""
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(d)
     x = theta + rng.standard_normal((n, d))
-    model = BayesianModel(
+    return BayesianModel(
         kind="gaussian_mean",
         dataset=Dataset(x, np.zeros(n)),
         prior=GaussianDist(np.zeros(d), np.eye(d)),
         obs_cov=np.eye(d),
     )
-    return model, conjugate_posterior(model, np.ones(n))
 
 
 def synth_radial_basis_model(n: int, basis_scales, per_scale_count: int,

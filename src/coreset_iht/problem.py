@@ -127,7 +127,7 @@ class WeightVector:
 
 def _check_length(problem: SparseRegressionProblem, w: np.ndarray) -> None:
     if w.shape != (problem.n,):
-        raise ValueError(f"weights have shape {w.shape}, expected ({problem.n},)")
+        raise ValueError(f"vector has shape {w.shape}, expected ({problem.n},)")
 
 
 class _Columns:

@@ -78,6 +78,7 @@ from .problem import (
     SparseRegressionProblem,
     WeightVector,
     _as_weights,
+    _check_length,
     _Columns,
     _gradient,
     _residual,
@@ -195,6 +196,7 @@ def line_search_step(problem: SparseRegressionProblem, direction) -> float:
     Returns 0 when ``phi @ d`` vanishes (the degenerate contract).
     """
     d = np.asarray(direction, dtype=np.float64)
+    _check_length(problem, d)
     return _exact_step(d, _Columns(problem.phi, np.flatnonzero(d)).image(d))
 
 
@@ -227,6 +229,8 @@ def step_along(problem: SparseRegressionProblem, point, direction) -> float:
     """
     z = _as_weights(point)
     d = np.asarray(direction, dtype=np.float64)
+    _check_length(problem, z)
+    _check_length(problem, d)
     pd = _Columns(problem.phi, np.flatnonzero(d)).image(d)
     return _step_along(_residual(problem, z), pd)
 
@@ -245,8 +249,8 @@ def momentum_coefficient(problem: SparseRegressionProblem, w_next, w_prev) -> fl
     """
     wn = _as_weights(w_next)
     wp = _as_weights(w_prev)
-    if wn.shape != wp.shape:
-        raise ValueError("weight vectors differ in length")
+    _check_length(problem, wn)
+    _check_length(problem, wp)
     d = wn - wp
     pd = _Columns(problem.phi, np.flatnonzero(d)).image(d)
     return _line_minimizer(_residual(problem, wn), pd)
@@ -267,9 +271,8 @@ def stochastic_gradient(problem: SparseRegressionProblem, weights,
     if not 0 < batch_fraction <= 1:
         raise ValueError(f"batch_fraction must be in (0, 1], got {batch_fraction}")
     w = _as_weights(weights)
+    _check_length(problem, w)
     n = problem.n
-    if w.shape != (n,):
-        raise ValueError(f"weights have shape {w.shape}, expected ({n},)")
     b = int(round(batch_fraction * n))
     if b == 0:
         raise ValueError(f"batch size rounds to zero (batch_fraction={batch_fraction}, n={n})")

@@ -210,7 +210,8 @@ def test_criterion_6_scaled_gaussian_experiment():
     ks = [10, 20, 30, 50]
     rkl = {name: {k: [] for k in ks} for name in ("aiht", "aiht_debias", "uniform")}
     for trial in range(10):
-        model, true_posterior = synth_gaussian_dataset(20, 100, (7, trial, 0))
+        model = synth_gaussian_dataset(20, 100, (7, trial, 0))
+        true_posterior = full_data_posterior(model)
         projection = build_projection(model, true_posterior, 2000, (7, trial, 1))
         problem = projection.to_problem()
         for k in ks:
@@ -245,7 +246,7 @@ def test_criterion_7_laplace_exactness():
     from coreset_iht import BayesianModel, Dataset, GaussianDist
     for trial in range(50):
         if trial % 2 == 0:
-            model, _ = synth_gaussian_dataset(3, 8, seed=(8, trial))
+            model = synth_gaussian_dataset(3, 8, seed=(8, trial))
         else:
             b = rng.standard_normal((8, 3))
             y = rng.standard_normal(8)

@@ -65,6 +65,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"experiment": "csv"})
 
+    def test_csv_kind_checked_when_config_is_made(self, tmp_path, capsys):
+        # Refused before a sweep creates its outdir, not at trial 0.
+        outdir = tmp_path / "out"
+        assert main(["sweep", "--experiment", "csv", "--csv-path", "d.csv",
+                     "--outdir", str(outdir)]) == 1
+        assert "csv_kind" in capsys.readouterr().err and not outdir.exists()
+        for kind in ("", "gaussian"):
+            with pytest.raises(ValueError, match="csv_kind"):
+                ExperimentConfig.from_dict({"experiment": "csv", "csv_path": "d.csv",
+                                            "csv_kind": kind})
+        with pytest.raises(ValueError, match="csv_kind"):
+            ExperimentConfig.from_dict({"experiment": "csv", "csv_path": "d.csv"})
+        for kind in models.MODEL_KINDS:
+            assert ExperimentConfig.from_dict(
+                {"experiment": "csv", "csv_path": "d.csv", "csv_kind": kind}).csv_kind == kind
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"mystery_knob": 1})

@@ -101,14 +101,14 @@ class TestGaussianKl:
 
 class TestCoresetKl:
     def test_all_ones_is_zero_everywhere(self):
-        model, _ = synth_gaussian_dataset(3, 12, seed=0)
+        model = synth_gaussian_dataset(3, 12, seed=0)
         w = np.ones(12)
         full, coreset = full_data_posterior(model), posterior_approximation(model, w)
         for direction in ("forward", "reverse", "symmetrized"):
             assert coreset_kl(full, coreset, direction) <= 1e-10
 
     def test_symmetrized_is_sum(self):
-        model, _ = synth_gaussian_dataset(3, 12, seed=1)
+        model = synth_gaussian_dataset(3, 12, seed=1)
         w = np.zeros(12)
         w[[1, 5, 7]] = [4.0, 2.0, 6.0]
         full, coreset = full_data_posterior(model), posterior_approximation(model, w)
@@ -118,7 +118,7 @@ class TestCoresetKl:
         assert s == f + r
 
     def test_matches_hand_assembled_conjugate_posteriors(self):
-        model, _ = synth_gaussian_dataset(2, 10, seed=2)
+        model = synth_gaussian_dataset(2, 10, seed=2)
         w = np.zeros(10)
         w[[0, 4]] = [3.0, 7.0]
         full = conjugate_posterior(model, np.ones(10))
@@ -130,7 +130,7 @@ class TestCoresetKl:
             gaussian_kl(coreset, full), rel=1e-12)
 
     def test_bad_direction(self):
-        model, _ = synth_gaussian_dataset(2, 4, seed=3)
+        model = synth_gaussian_dataset(2, 4, seed=3)
         full = full_data_posterior(model)
         with pytest.raises(ValueError):
             coreset_kl(full, full, "sideways")
@@ -138,12 +138,12 @@ class TestCoresetKl:
 
 class TestMapDistance:
     def test_all_ones_zero(self):
-        model, _ = synth_gaussian_dataset(3, 8, seed=4)
+        model = synth_gaussian_dataset(3, 8, seed=4)
         assert map_l2_distance(full_data_posterior(model),
                                posterior_approximation(model, np.ones(8))) == 0.0
 
     def test_equals_conjugate_mean_distance(self):
-        model, _ = synth_gaussian_dataset(3, 8, seed=5)
+        model = synth_gaussian_dataset(3, 8, seed=5)
         w = np.zeros(8)
         w[[2, 6]] = [5.0, 3.0]
         full = conjugate_posterior(model, np.ones(8))

@@ -428,23 +428,26 @@ class TestBuildProjection:
 
 
 def reference_log_likelihoods(model, thetas):
-    """The out-of-place likelihood formulas: a new S x N array per operation."""
+    """The out-of-place likelihood formulas: a new S x N array per operation.
+
+    As the model does, each kind starts from one product of its design with
+    thetas.T, which keeps the result column-major and rounds by that layout.
+    """
     x, y = model.dataset.x, model.dataset.y
     if model.kind == "gaussian_mean":
-        prec = model.obs_prec
         _, logdet = np.linalg.slogdet(model.obs_cov)
         norm_const = -0.5 * (x.shape[1] * np.log(2 * np.pi) + logdet)
-        xq = np.einsum("nd,nd->n", x @ prec, x)
-        tq = np.einsum("sd,sd->s", thetas @ prec, thetas)
-        cross = thetas @ prec @ x.T
+        xp = x @ model.obs_prec
+        xq = np.einsum("nd,nd->n", xp, x)
+        tq = np.einsum("sd,sd->s", thetas @ model.obs_prec, thetas)
+        cross = (xp @ thetas.T).T
         return norm_const - 0.5 * (xq[None, :] - 2.0 * cross + tq[:, None])
     if model.kind == "linear_regression":
         norm_const = -0.5 * np.log(2 * np.pi * model.noise_var)
-        return norm_const - (y[None, :] - thetas @ x.T) ** 2 / (2.0 * model.noise_var)
+        return norm_const - (y[None, :] - (x @ thetas.T).T) ** 2 / (2.0 * model.noise_var)
     # The GLMs' softplus as the model writes it, log1p(exp(-|t|)) on numpy's
     # vectorised ufuncs, where np.logaddexp's scalar loop can differ in the
-    # last bit; and, as the model does, on the transposed product, which
-    # keeps the result column-major and rounds by that layout.
+    # last bit.
     t = (np.hstack([x, np.ones((x.shape[0], 1))]) @ thetas.T).T
     if model.kind == "logistic":
         s = y[None, :] * t
@@ -511,7 +514,10 @@ class TestProjectionInPlace:
         # At S = 50, n = 300 the Gaussian and linear-regression problems are
         # on Gram factors (rank 4 and 9) and the GLM ones on phi itself.
         model = projection_model(kind)
-        proj = build_projection(model, full_data_posterior(model), 50, (5, 0, 1))
+        pi_hat = full_data_posterior(model)
+        lmat = model.log_likelihood_matrix(pi_hat.sample(np.random.default_rng(0), 50))
+        assert lmat.shape == (50, 300) and lmat.flags.f_contiguous
+        proj = build_projection(model, pi_hat, 50, (5, 0, 1))
         assert proj.phi.flags.f_contiguous and not proj.phi.flags.writeable
         problem = proj.to_problem()
         assert problem.phi.flags.f_contiguous and not problem.phi.flags.writeable
@@ -610,7 +616,7 @@ class TestBlockedBuild:
 def coreset_projection(kind, dim, n, s_count, seed=7):
     """One sweep trial's projection."""
     if kind == "gaussian":
-        model, _ = synth_gaussian_dataset(dim, n, (seed, 0, 0))
+        model = synth_gaussian_dataset(dim, n, (seed, 0, 0))
     elif kind == "radial_basis":
         model = synth_radial_basis_model(n, [0.5, 1.0], 20, (seed, 0, 0))
     else:
@@ -874,19 +880,14 @@ class TestFitFactorisesOnce:
 
 class TestSynthGaussian:
     def test_no_data_gives_prior(self):
-        model, post = synth_gaussian_dataset(3, 0, seed=0)
+        model = synth_gaussian_dataset(3, 0, seed=0)
+        post = full_data_posterior(model)
         np.testing.assert_allclose(post.mean, model.prior.mean, atol=1e-12)
         np.testing.assert_allclose(post.cov, model.prior.cov, atol=1e-12)
 
-    def test_posterior_is_all_ones_conjugate(self):
-        model, post = synth_gaussian_dataset(3, 5, seed=1)
-        ref = conjugate_posterior(model, np.ones(5))
-        np.testing.assert_allclose(post.mean, ref.mean, atol=1e-12)
-        np.testing.assert_allclose(post.cov, ref.cov, atol=1e-12)
-
     def test_seed_reproducibility(self):
-        m1, _ = synth_gaussian_dataset(3, 5, seed=7)
-        m2, _ = synth_gaussian_dataset(3, 5, seed=7)
+        m1 = synth_gaussian_dataset(3, 5, seed=7)
+        m2 = synth_gaussian_dataset(3, 5, seed=7)
         assert np.array_equal(m1.dataset.x, m2.dataset.x)
 
 

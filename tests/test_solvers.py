@@ -121,6 +121,23 @@ class TestMomentum:
                 assert f_star <= objective(p, w_next + c * d) * (1 + 1e-10) + 1e-12
 
 
+@pytest.mark.parametrize("call", [
+    lambda p, full, short: line_search_step(p, short),
+    lambda p, full, short: step_along(p, short, full),
+    lambda p, full, short: step_along(p, full, short),
+    lambda p, full, short: momentum_coefficient(p, short, full),
+    lambda p, full, short: momentum_coefficient(p, full, short),
+    lambda p, full, short: momentum_coefficient(p, short, 0.0 * short),
+], ids=["line_search_direction", "step_along_point", "step_along_direction",
+        "momentum_next", "momentum_prev", "momentum_both"])
+def test_step_helpers_reject_wrong_length(call):
+    # A 30-entry vector on a 40-column problem used to give a number.
+    p = random_problem(np.random.default_rng(3), 12, 40)
+    full, short = np.zeros(40), np.zeros(30)
+    full[0] = short[0] = 1.0
+    with pytest.raises(ValueError, match=r"expected \(40,\)"):
+        call(p, full, short)
+
 
 class TestVanillaIht:
     def test_zero_target_converges_immediately(self):
