@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -138,13 +138,6 @@ class ExperimentConfig:
                 raise ValueError(f"config field {name} must be {types[name]}, got {value!r}")
         return cls(**payload)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
 
 def _model_for_trial(cfg: ExperimentConfig, trial: int) -> BayesianModel:
     seed = (cfg.seed, trial, 0)
@@ -223,9 +216,10 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     problem = None
     if cfg.solver != "uniform":
         problem = build_projection(model, pi_hat, cfg.s_count, (cfg.seed, trial, 1)).to_problem()
+    config = cfg.to_dict()
     for k in cfg.k_list:
         run = {
-            "config": cfg.to_dict(),
+            "config": config,
             "experiment": cfg.experiment,
             "solver": cfg.solver,
             "trial": trial,
@@ -272,7 +266,7 @@ def _quantiles(values) -> tuple:
 
 def _aggregate(cfg: ExperimentConfig, runs: list) -> str:
     """Build the aggregate CSV text: medians and quartiles per k."""
-    lines = [f"# config={cfg.to_json()}", ",".join(CSV_COLUMNS)]
+    lines = [f"# config={json.dumps(cfg.to_dict(), sort_keys=True)}", ",".join(CSV_COLUMNS)]
     for k in cfg.k_list:
         good = [r for r in runs if r["k"] == k and "error" not in r]
         if good:
@@ -328,11 +322,12 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     return SweepResult(csv_path=csv_path, run_paths=run_paths, failures=failures)
 
 
-def run_theory_check(cfg: ExperimentConfig) -> Path:
+def run_theory_check(cfg: ExperimentConfig) -> tuple[Path, bool]:
     """Exhaustive isometry constants + brute-force optimum + invariant check.
 
     Builds a planted instance sized by (n_data, s_count, first k), then
-    verifies the solver's per-iteration error bound against it. Raises
+    verifies the solver's per-iteration error bound against it. Returns the
+    report's path and whether every iteration satisfied the bound. Raises
     ``EnumerationBudgetError`` when the support enumeration exceeds
     ``rip_budget``.
     """
@@ -351,12 +346,12 @@ def run_theory_check(cfg: ExperimentConfig) -> Path:
         "planted_support": [int(i) for i in planted.support],
         "brute_force_support": [int(i) for i in w_star.support],
         "brute_force_objective": f_star,
-        "rip": json.loads(rip.to_json()),
-        "report": json.loads(report.to_json()),
+        "rip": rip.to_dict(),
+        "report": report.to_dict(),
     }
     path = outdir / "theory_check.json"
     _write_json(path, payload)
-    return path
+    return path, report.all_satisfied
 
 
 def run_gen_data(cfg: ExperimentConfig) -> Path:
@@ -379,20 +374,13 @@ def run_build(cfg: ExperimentConfig) -> Path:
     raises ``RuntimeError`` with the run's recorded error."""
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    runs = _run_trial(_single_k(cfg), 0)
+    runs = _run_trial(replace(cfg, k_list=cfg.k_list[:1], trials=1), 0)
     run = runs[0]
     if "error" in run:
         raise _RunFailed(run["error"])
     path = outdir / f"build_{cfg.experiment}_{cfg.solver}_k{run['k']}.json"
     _write_json(path, run)
     return path
-
-
-def _single_k(cfg: ExperimentConfig) -> ExperimentConfig:
-    payload = cfg.to_dict()
-    payload["k_list"] = [cfg.k_list[0]]
-    payload["trials"] = 1
-    return ExperimentConfig.from_dict(payload)
 
 
 def run_evaluate(weights_path, outdir=None) -> dict:
@@ -473,7 +461,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             payload[f.name] = value
-    if getattr(args, "k", None):
+    if args.k:
         payload["k_list"] = [int(v) for v in str(args.k).split(",") if v]
     return ExperimentConfig.from_dict(payload)
 
@@ -491,15 +479,16 @@ def main(argv=None) -> int:
         ("evaluate", "recompute metrics for a build output"),
     ):
         p = sub.add_parser(name, help=text)
-        _add_common_flags(p)
         if name == "evaluate":
             p.add_argument("--weights", required=True, help="build output JSON")
+            p.add_argument("--outdir", help="directory for the metrics JSON")
+        else:
+            _add_common_flags(p)
 
     args = parser.parse_args(argv)
     try:
         if args.command == "evaluate":
-            cfg_outdir = getattr(args, "outdir", None)
-            result = run_evaluate(args.weights, outdir=cfg_outdir)
+            result = run_evaluate(args.weights, outdir=args.outdir)
             print(json.dumps(result["metrics"], sort_keys=True))
             return 0
         cfg = config_from_args(args)
@@ -510,10 +499,9 @@ def main(argv=None) -> int:
             print(run_build(cfg))
             return 0
         if args.command == "theory-check":
-            path = run_theory_check(cfg)
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            path, satisfied = run_theory_check(cfg)
             print(path)
-            return 0 if payload["report"]["all_satisfied"] else 1
+            return 0 if satisfied else 1
         result = run_sweep(cfg)
         print(result.csv_path)
         if result.failures:

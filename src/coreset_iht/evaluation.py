@@ -10,7 +10,6 @@ satisfy when the isometry constants are known.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -117,10 +116,9 @@ class RipConstants:
     def beta_at(self, s: int) -> float:
         return self.beta[self.levels.index(s)]
 
-    def to_json(self) -> str:
-        return json.dumps({"levels": list(self.levels),
-                           "alpha": list(self.alpha),
-                           "beta": list(self.beta)})
+    def to_dict(self) -> dict:
+        return {"levels": list(self.levels), "alpha": list(self.alpha),
+                "beta": list(self.beta)}
 
 
 def estimate_rip(problem: SparseRegressionProblem, levels,
@@ -296,8 +294,8 @@ class InvariantReport:
     def linear_rate(self) -> bool:
         return self.contraction < 1.0 / (1.0 + 2.0 * self.momentum_max)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "contraction": self.contraction,
             "rate": self.rate,
             "momentum_max": self.momentum_max,
@@ -306,7 +304,7 @@ class InvariantReport:
             "all_satisfied": self.all_satisfied,
             "objectives": list(self.objectives),
             "entries": [e.to_dict() for e in self.entries],
-        })
+        }
 
 
 def check_iterative_invariant(problem: SparseRegressionProblem, cfg: SolverConfig,

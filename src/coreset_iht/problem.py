@@ -49,11 +49,12 @@ class SparseRegressionProblem:
     ``phi`` has shape (s_dim, n): one column per data point; its rows are
     posterior samples, or the rows of their Gram factor
     (``ProjectionSet.to_problem``). ``y`` has length s_dim. Both are stored
-    read-only so instances can be shared across threads. ``phi`` keeps the
-    memory layout of its input: a column-major projection or factor gives a
-    column-major problem, and a C-order array a C-order one. A read-only
-    array that owns its data, such as ``ProjectionSet.phi`` or a Gram
-    factor, is shared, not copied.
+    read-only: a projection and the problem built on it share one buffer
+    (``_frozen_array``), and a caller cannot change a problem under a running
+    solve. ``phi`` keeps the memory layout of its input: a column-major
+    projection or factor gives a column-major problem, and a C-order array a
+    C-order one. A read-only array that owns its data, such as
+    ``ProjectionSet.phi`` or a Gram factor, is shared, not copied.
     """
 
     phi: np.ndarray

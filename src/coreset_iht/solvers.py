@@ -64,7 +64,6 @@ the exact gradient for the rest of the solve, so ``converged`` and
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -185,9 +184,6 @@ class SolverTrace:
             rows.append([r.iter, r.f, r.mu, r.tau, support, r.ns])
         return {"termination": self.termination.value, "fields": list(TRACE_FIELDS),
                 "records": rows}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def line_search_step(problem: SparseRegressionProblem, direction) -> float:

@@ -51,7 +51,7 @@ def logistic_build(tmp_path_factory):
 class TestConfig:
     def test_round_trip(self):
         cfg = tiny_config("/tmp/x", batch_fraction=0.5)
-        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestConfig:
 
     def test_flag_precedence_over_file(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(tiny_config(tmp_path, trials=5).to_json())
+        cfg_file.write_text(json.dumps(tiny_config(tmp_path, trials=5).to_dict()))
         import argparse
         ns = argparse.Namespace(config=str(cfg_file), trials=2, k="7")
         cfg = config_from_args(ns)
@@ -344,8 +344,9 @@ class TestProblemSeam:
 class TestTheoryCheck:
     def test_small_instance_completes(self, tmp_path):
         cfg = tiny_config(tmp_path, n_data=8, k_list=[2], s_count=30, seed=3)
-        path = run_theory_check(cfg)
+        path, satisfied = run_theory_check(cfg)
         payload = json.loads(path.read_text())
+        assert satisfied is True
         assert payload["report"]["all_satisfied"] is True
         assert payload["brute_force_objective"] <= 1e-16
         assert set(payload["rip"]["levels"]) == {2, 4, 6, 8}
@@ -560,6 +561,26 @@ class TestMainEntry:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --momentum" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [["--k", "7"], ["--experiment", "logistic"],
+                                      ["--solver", "uniform"], ["--trials", "9"]])
+    def test_evaluate_refuses_sweep_flags(self, tmp_path, capsys, logistic_build, flag):
+        # evaluate rebuilds everything from the build's own config; a sweep
+        # flag would be ignored, so argparse refuses it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--weights", str(logistic_build), *flag,
+                  "--outdir", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_k_above_data_count_exits_one(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        rc = main(["sweep", "--experiment", "gaussian", "--n-data", "100", "--k", "200",
+                   "--outdir", str(outdir)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: k values [200] exceed data count 100\n"
+        assert list(outdir.iterdir()) == []
 
     def test_csv_uniform_sweep_uses_dataset_size(self, tmp_path, capsys):
         # The uniform baseline once drew weights for the default n_data (100)

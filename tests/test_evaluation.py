@@ -216,7 +216,7 @@ class TestRipConstants:
 
     def test_json_round_trip(self):
         rip = RipConstants((1, 2), (2.0, 1.5), (3.0, 4.0))
-        payload = json.loads(rip.to_json())
+        payload = json.loads(json.dumps(rip.to_dict()))
         assert payload == {"levels": [1, 2], "alpha": [2.0, 1.5], "beta": [3.0, 4.0]}
 
 
@@ -271,30 +271,69 @@ class TestBruteForceOptimum:
         ref, _ = scipy_nnls(phi, y)
         np.testing.assert_allclose(nnls_on_support(phi, y), ref, atol=1e-9)
 
-    @pytest.mark.parametrize("block", ["duplicate_column", "wide"])
+    @pytest.mark.parametrize("block", ["duplicate_column", "wide", "tied_entry"])
     def test_nnls_on_support_degenerate_block_meets_kkt(self, block):
         rng = np.random.default_rng(14)
         if block == "duplicate_column":
             phi = rng.standard_normal((12, 5))
             phi[:, 3] = phi[:, 1]
             y = phi @ np.array([1.0, 2.0, 0.0, 0.0, 1.0]) + 0.1 * rng.standard_normal(12)
-        else:
+        elif block == "wide":
             phi = rng.standard_normal((4, 9))
             y = 3.0 * rng.standard_normal(4)
+        else:
+            # Rounding breaks the tie between columns 0 and 2 after column 1
+            # enters; either way the step back to the boundary runs. Both
+            # (0.5, 0, 0.5) and (1, 0.5, 0) fit y exactly.
+            phi = np.array([[0.0, 2.0, 2.0], [1.0, -2.0, -1.0]])
+            y = np.array([1.0, 0.0])
         u = nnls_on_support(phi, y)
-        ref, _ = scipy_nnls(phi, y)
-        f, f_ref = (float(np.sum((phi @ v - y) ** 2)) for v in (u, ref))
-        assert f == pytest.approx(f_ref, rel=1e-12, abs=1e-12 * float(y @ y))
-        grad = phi.T @ (phi @ u - y)
-        tol = 1e-9 * np.linalg.norm(phi) * np.linalg.norm(y)
-        assert np.all(u >= 0)
-        assert np.all(grad[u == 0] >= -tol)
-        np.testing.assert_allclose(grad[u > 0], 0.0, atol=tol)
+        assert_nnls_optimal(phi, y, u)
         if block == "duplicate_column":
             # Columns 1 and 3 tie exactly at every point: the lower index
             # enters, and column 3, dependent on it, never does.
             assert (phi.T @ y)[1] == (phi.T @ y)[3]
             assert u[1] > 0 and u[3] == 0
+
+    def test_nnls_on_support_steps_back_to_the_boundary(self, monkeypatch):
+        # Column 1 enters, then column 0; column 2 enters next and its least
+        # squares puts column 1 at -1, so the step from (2/3, 1/3, 0) stops a
+        # quarter of the way at (2, 0, 1), where column 1 leaves. The fit on
+        # columns 0 and 2 is the answer. Full column rank: the minimizer is
+        # unique.
+        phi = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, -1.0], [-1.0, -2.0, 1.0]])
+        y = np.array([2.0, 2.0, 0.0])
+        fitted, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda a, b, rcond: fitted.append(a.shape[1]) or lstsq(a, b, rcond))
+        u = nnls_on_support(phi, y)
+        monkeypatch.undo()
+        assert fitted == [1, 2, 3, 2]
+        np.testing.assert_allclose(u, [3.0, 0.0, 2.0], rtol=0, atol=1e-14)
+        assert_nnls_optimal(phi, y, u)
+
+    def test_nnls_on_support_random_blocks_match_scipy(self):
+        # About one block in eight steps back to the boundary.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            m, k = rng.integers(3, 12, size=2)
+            phi = rng.standard_normal((m, k))
+            y = rng.standard_normal(m)
+            assert_nnls_optimal(phi, y, nnls_on_support(phi, y))
+
+
+def assert_nnls_optimal(phi, y, u):
+    """``u`` has scipy's NNLS objective to 1e-12 ||y||^2 and meets the
+    KKT conditions: u >= 0, gradient zero on the support and non-negative
+    off it."""
+    ref, _ = scipy_nnls(phi, y)
+    f, f_ref = (float(np.sum((phi @ v - y) ** 2)) for v in (u, ref))
+    assert f == pytest.approx(f_ref, rel=0, abs=1e-12 * float(y @ y))
+    grad = phi.T @ (phi @ u - y)
+    tol = 1e-9 * np.linalg.norm(phi) * np.linalg.norm(y)
+    assert np.all(u >= 0)
+    assert np.all(grad[u == 0] >= -tol)
+    np.testing.assert_allclose(grad[u > 0], 0.0, atol=tol)
 
 
 class TestContractionFactor:
@@ -366,7 +405,7 @@ class TestIterativeInvariant:
         rip = estimate_rip(problem, self._levels(2, 8))
         w_star, _ = brute_force_optimum(problem, 2)
         report = check_iterative_invariant(problem, SolverConfig(k=2), w_star, rip)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert set(payload) == {"contraction", "rate", "momentum_max", "residual_norm",
                                 "linear_rate", "all_satisfied", "objectives", "entries"}
         assert list(payload["entries"][0]) == ["iteration", "error", "bound", "satisfied"]

@@ -800,6 +800,55 @@ class TestLaplaceApproximation:
         _, grad, _ = model.log_joint(lap.mean, w)
         assert np.max(np.abs(grad)) <= 1e-8
 
+    @staticmethod
+    def non_finite_steps(monkeypatch, bad_calls):
+        """Patch ``log_joint`` so call number i reports -inf when
+        ``bad_calls(i)`` holds; returns the list of thetas it is called at."""
+        thetas, log_joint = [], BayesianModel.log_joint
+
+        def patched(self, theta, weights):
+            thetas.append(np.array(theta))
+            value, grad, neg_hess = log_joint(self, theta, weights)
+            return (-np.inf if bad_calls(len(thetas) - 1) else value), grad, neg_hess
+
+        monkeypatch.setattr(BayesianModel, "log_joint", patched)
+        return thetas
+
+    def test_non_finite_full_step_is_halved(self, monkeypatch):
+        # White-box: realistic fits accept every full step, so the first one
+        # is made to report -inf. The fit halves it and still reaches the MAP.
+        model = synth_glm_dataset("logistic", 20, seed=2)
+        w = np.ones(20)
+        expected = laplace_approximation(model, w)
+        thetas = self.non_finite_steps(monkeypatch, lambda call: call == 1)
+        got = laplace_approximation(model, w)
+        np.testing.assert_array_equal(thetas[2] - thetas[0], (thetas[1] - thetas[0]) / 2)
+        # Both fits stop once the gradient inf-norm is at most NEWTON_TOL =
+        # 1e-8, which pins the MAP to about 1e-8 times the posterior scale.
+        _, grad, _ = model.log_joint(got.mean, w)
+        assert np.max(np.abs(grad)) <= models.NEWTON_TOL
+        np.testing.assert_allclose(got.mean, expected.mean, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(got.cov, expected.cov, rtol=0, atol=1e-7)
+
+    def test_no_accepted_halving_raises(self, monkeypatch):
+        model = synth_glm_dataset("logistic", 20, seed=2)
+        w = np.ones(20)
+        _, grad, _ = model.log_joint(model.prior.mean, w)
+        thetas = self.non_finite_steps(monkeypatch, lambda call: call > 0)
+        with pytest.raises(models.NewtonConvergenceError) as err:
+            laplace_approximation(model, w)
+        assert len(thetas) == 1 + 30  # the start, then 30 halvings of the first step
+        assert err.value.grad_norm == float(np.max(np.abs(grad)))
+
+    def test_step_limit_raises_with_the_starting_gradient(self, monkeypatch):
+        model = synth_glm_dataset("logistic", 20, seed=2)
+        w = np.ones(20)
+        _, grad, _ = model.log_joint(model.prior.mean, w)
+        monkeypatch.setattr(models, "MAX_NEWTON", 0)
+        with pytest.raises(models.NewtonConvergenceError) as err:
+            laplace_approximation(model, w)
+        assert err.value.grad_norm == float(np.max(np.abs(grad))) > models.NEWTON_TOL
+
     def test_posterior_approximation_dispatch(self):
         model = gaussian_mean_model(np.random.default_rng(1).standard_normal((4, 2)))
         w = np.ones(4)

@@ -276,7 +276,7 @@ class TestAiht:
         cfg = SolverConfig(k=3, rng_seed=11)
         _, t1 = solve_aiht(problem, cfg)
         _, t2 = solve_aiht(problem, cfg)
-        assert t1.with_zeroed_time().to_json() == t2.with_zeroed_time().to_json()
+        assert json.dumps(t1.with_zeroed_time().to_dict()) == json.dumps(t2.with_zeroed_time().to_dict())
 
 
 class TestAihtDebias:
@@ -387,7 +387,8 @@ class TestAihtBatched:
         cfg = SolverConfig(k=3, batch_fraction=1.0, rng_seed=5, max_iters=300)
         _, batched = solve_aiht_batched(problem, cfg)
         _, exact = solve_aiht(problem, cfg)
-        assert batched.with_zeroed_time().to_json() == exact.with_zeroed_time().to_json()
+        assert (json.dumps(batched.with_zeroed_time().to_dict())
+                == json.dumps(exact.with_zeroed_time().to_dict()))
 
     def test_tiny_batch_runs_to_termination(self):
         rng = np.random.default_rng(13)
@@ -427,7 +428,7 @@ class TestAihtBatched:
         cfg = SolverConfig(k=2, batch_fraction=0.5, rng_seed=9, max_iters=50)
         _, t1 = solve_aiht_batched(problem, cfg)
         _, t2 = solve_aiht_batched(problem, cfg)
-        assert t1.with_zeroed_time().to_json() == t2.with_zeroed_time().to_json()
+        assert json.dumps(t1.with_zeroed_time().to_dict()) == json.dumps(t2.with_zeroed_time().to_dict())
 
 
 class TestStepAlong:
@@ -725,7 +726,7 @@ class TestTraceSerialization:
     def test_json_field_names(self):
         problem, _ = small_recovery_instance()
         _, trace = solve_aiht(problem, SolverConfig(k=2, max_iters=5))
-        payload = json.loads(trace.to_json())
+        payload = json.loads(json.dumps(trace.to_dict()))
         assert payload["termination"] in ("converged", "max_iters", "stalled")
         assert payload["fields"] == ["iter", "f", "mu", "tau", "support", "ns"]
         assert len(payload["records"]) == len(trace)
@@ -736,7 +737,7 @@ class TestTraceSerialization:
         # five iterations, then changes again.
         problem, _ = small_recovery_instance()
         _, trace = solve_aiht(problem, SolverConfig(k=4, max_iters=10))
-        payload = json.loads(trace.to_json())
+        payload = json.loads(json.dumps(trace.to_dict()))
         rows = payload["records"]
         assert rows[0][4] is not None
         carried = [row[4] is None for row in rows]
@@ -754,7 +755,7 @@ class TestTraceSerialization:
         problem, _ = small_recovery_instance()
         _, trace = solve_aiht(problem, SolverConfig(k=2, max_iters=5))
         assert len(trace) > 1
-        assert trace.to_dict() == json.loads(trace.to_json())
+        assert trace.to_dict() == json.loads(json.dumps(trace.to_dict()))
 
     def test_csv_column_order(self):
         problem, _ = small_recovery_instance()

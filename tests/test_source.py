@@ -39,3 +39,22 @@ def test_no_dead_private_helpers():
             for name in module_level_names(tree)
             if name.startswith("_") and not name.startswith("__") and name not in read]
     assert not dead, f"private names that nothing in the package reads: {dead}"
+
+
+def imported_modules(tree: ast.Module) -> set:
+    """Top-level names of the modules a module imports, absolute imports
+    only (``import a.b`` and ``from a.b import c`` both give ``a``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_cli_imports_json():
+    # Library results are dicts; cli encodes each output once.
+    importers = [path.name for path in sorted(SRC.glob("*.py"))
+                 if "json" in imported_modules(ast.parse(path.read_text()))]
+    assert importers == ["cli.py"], f"modules that import json: {importers}"
