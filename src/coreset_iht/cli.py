@@ -111,6 +111,11 @@ class ExperimentConfig:
             raise ValueError(f"n_data must be >= 1, got {self.n_data}")
         if self.s_count < 2:
             raise ValueError(f"s_count must be >= 2, got {self.s_count}")
+        if not self.basis_scales or not all(0 < s < np.inf for s in self.basis_scales):
+            raise ValueError("basis_scales must be a non-empty list of finite widths > 0, "
+                             f"got {self.basis_scales}")
+        if self.per_scale_count < 1:
+            raise ValueError(f"per_scale_count must be >= 1, got {self.per_scale_count}")
         if self.experiment == "csv" and not self.csv_path:
             raise ValueError("csv experiment needs csv_path")
         if self.experiment == "csv" and self.csv_kind not in MODEL_KINDS:
@@ -325,15 +330,19 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 def run_theory_check(cfg: ExperimentConfig) -> tuple[Path, bool]:
     """Exhaustive isometry constants + brute-force optimum + invariant check.
 
-    Builds a planted instance sized by (n_data, s_count, first k), then
-    verifies the solver's per-iteration error bound against it. Returns the
-    report's path and whether every iteration satisfied the bound. Raises
-    ``EnumerationBudgetError`` when the support enumeration exceeds
+    Builds a planted instance sized by (n_data, s_count, the config's one k),
+    then verifies the aiht solver's per-iteration error bound against it.
+    Returns the report's path and whether every iteration satisfied the bound.
+    Raises ``EnumerationBudgetError`` when the support enumeration exceeds
     ``rip_budget``.
     """
+    if cfg.solver != "aiht":
+        raise ValueError(f"theory-check checks the aiht solver, not {cfg.solver!r}")
+    if len(cfg.k_list) != 1:
+        raise ValueError(f"theory-check takes one sparsity level, got k_list {cfg.k_list}")
+    k = cfg.k_list[0]
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    k = cfg.k_list[0]
     problem, planted = make_planted_problem(
         cfg.n_data, cfg.s_count, k, cfg.seed, near_orthonormal=cfg.near_orthonormal)
     levels = sorted({min(m * k, problem.n) for m in (1, 2, 3, 4)})
@@ -369,12 +378,14 @@ class _RunFailed(RuntimeError):
 
 
 def run_build(cfg: ExperimentConfig) -> Path:
-    """Construct one coreset (trial 0, first k) and write weights + trace to
-    ``build_<experiment>_<solver>_k<k>.json``. A failed run writes nothing and
-    raises ``RuntimeError`` with the run's recorded error."""
+    """Construct one coreset (trial 0, the config's one k) and write weights +
+    trace to ``build_<experiment>_<solver>_k<k>.json``. A failed run writes
+    nothing and raises ``RuntimeError`` with the run's recorded error."""
+    if len(cfg.k_list) != 1:
+        raise ValueError(f"build takes one sparsity level, got k_list {cfg.k_list}")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    runs = _run_trial(replace(cfg, k_list=cfg.k_list[:1], trials=1), 0)
+    runs = _run_trial(replace(cfg, trials=1), 0)
     run = runs[0]
     if "error" in run:
         raise _RunFailed(run["error"])
@@ -428,28 +439,32 @@ def run_evaluate(weights_path, outdir=None) -> dict:
 
 # -- argument parsing --------------------------------------------------------
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--experiment", choices=EXPERIMENTS)
-    parser.add_argument("--solver", choices=SOLVERS)
-    parser.add_argument("--k", help="comma-separated sparsity levels")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--s-count", type=int, dest="s_count")
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--n-data", type=int, dest="n_data")
-    parser.add_argument("--outdir")
-    parser.add_argument("--rel-tol", type=float, dest="rel_tol")
-    parser.add_argument("--max-iters", type=int, dest="max_iters")
-    parser.add_argument("--batch-fraction", type=float, dest="batch_fraction")
-    parser.add_argument("--step", type=float, dest="vanilla_step")
-    parser.add_argument("--csv-path", dest="csv_path")
-    parser.add_argument("--csv-kind", dest="csv_kind")
-    parser.add_argument("--rip-budget", type=int, dest="rip_budget")
-    parser.add_argument("--near-orthonormal", action="store_const", const=True,
-                        dest="near_orthonormal")
-    parser.add_argument("--no-timing", action="store_const", const=False,
-                        dest="record_timing")
+# Each flag, with the subcommands whose code reads its setting; argparse
+# refuses a flag on any other subcommand.
+_FLAGS = (
+    ("--config", "gen-data build sweep theory-check",
+     dict(help="JSON config file; flags override its fields")),
+    ("--experiment", "gen-data build sweep", dict(choices=EXPERIMENTS)),
+    ("--solver", "build sweep", dict(choices=SOLVERS)),
+    ("--k", "build sweep theory-check", dict(help="comma-separated sparsity levels")),
+    ("--trials", "sweep", dict(type=int)),
+    ("--seed", "gen-data build sweep theory-check", dict(type=int)),
+    ("--s-count", "build sweep theory-check", dict(type=int)),
+    ("--dim", "gen-data build sweep", dict(type=int)),
+    ("--n-data", "gen-data build sweep theory-check", dict(type=int)),
+    ("--weights", "evaluate", dict(required=True, help="build output JSON")),
+    ("--outdir", "gen-data build sweep theory-check evaluate", dict(help="output directory")),
+    ("--rel-tol", "build sweep theory-check", dict(type=float)),
+    ("--max-iters", "build sweep theory-check", dict(type=int)),
+    ("--batch-fraction", "build sweep", dict(type=float)),
+    ("--step", "build sweep", dict(type=float, dest="vanilla_step")),
+    ("--csv-path", "gen-data build sweep", {}),
+    ("--csv-kind", "gen-data build sweep", {}),
+    ("--rip-budget", "theory-check", dict(type=int)),
+    ("--near-orthonormal", "theory-check", dict(action="store_const", const=True)),
+    ("--no-timing", "build sweep",
+     dict(action="store_const", const=False, dest="record_timing")),
+)
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -461,7 +476,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             payload[f.name] = value
-    if args.k:
+    if getattr(args, "k", None):
         payload["k_list"] = [int(v) for v in str(args.k).split(",") if v]
     return ExperimentConfig.from_dict(payload)
 
@@ -479,11 +494,9 @@ def main(argv=None) -> int:
         ("evaluate", "recompute metrics for a build output"),
     ):
         p = sub.add_parser(name, help=text)
-        if name == "evaluate":
-            p.add_argument("--weights", required=True, help="build output JSON")
-            p.add_argument("--outdir", help="directory for the metrics JSON")
-        else:
-            _add_common_flags(p)
+        for flag, commands, options in _FLAGS:
+            if name in commands.split():
+                p.add_argument(flag, **options)
 
     args = parser.parse_args(argv)
     try:

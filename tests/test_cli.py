@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +81,29 @@ class TestConfig:
         for kind in models.MODEL_KINDS:
             assert ExperimentConfig.from_dict(
                 {"experiment": "csv", "csv_path": "d.csv", "csv_kind": kind}).csv_kind == kind
+
+    @pytest.mark.parametrize("setting,message", [
+        ({"basis_scales": []}, "basis_scales must be a non-empty list of finite widths > 0, "
+                               "got []"),
+        ({"basis_scales": [0.0, 1.0]}, "basis_scales must be a non-empty list of finite "
+                                       "widths > 0, got [0.0, 1.0]"),
+        ({"basis_scales": [-1.0, 1.0]}, "basis_scales must be a non-empty list of finite "
+                                        "widths > 0, got [-1.0, 1.0]"),
+        ({"basis_scales": [1.0, float("inf")]}, "basis_scales must be a non-empty list of "
+                                                "finite widths > 0, got [1.0, inf]"),
+        ({"per_scale_count": 0}, "per_scale_count must be >= 1, got 0"),
+    ], ids=["no_scales", "zero_scale", "negative_scale", "infinite_scale", "zero_count"])
+    def test_radial_basis_settings_checked_when_config_is_made(self, tmp_path, capsys,
+                                                               setting, message):
+        # Refused before a sweep creates its outdir, not when trial 0 builds
+        # its bases (a zero width once divided by zero there).
+        outdir = tmp_path / "out"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"experiment": "radial_basis", "n_data": 30,
+                                        "k_list": [3], **setting}))
+        assert main(["sweep", "--config", str(cfg_file), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not outdir.exists()
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -574,6 +598,43 @@ class TestMainEntry:
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["theory-check", "--solver", "aiht_debias"],
+        ["theory-check", "--experiment", "logistic"],
+        ["gen-data", "--solver", "vanilla"],
+        ["gen-data", "--k", "3"],
+        ["build", "--trials", "2"],
+        ["sweep", "--rip-budget", "5"],
+        ["sweep", "--near-orthonormal"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_flag_the_subcommand_does_not_read_is_refused(self, tmp_path, capsys, argv):
+        # A flag whose setting the subcommand's code never reads would be
+        # ignored, or recorded in the output as if it had been used.
+        outdir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([argv[0], "--n-data", "10", *argv[1:], "--outdir", str(outdir)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("argv,config,message", [
+        (["build", "--k", "3,4"], {},
+         "build takes one sparsity level, got k_list [3, 4]"),
+        (["theory-check", "--k", "2,3"], {},
+         "theory-check takes one sparsity level, got k_list [2, 3]"),
+        (["theory-check", "--k", "2"], {"solver": "aiht_debias"},
+         "theory-check checks the aiht solver, not 'aiht_debias'"),
+    ], ids=["build_k_list", "theory_check_k_list", "theory_check_solver"])
+    def test_setting_the_subcommand_would_drop_is_refused(self, tmp_path, capsys, argv,
+                                                          config, message):
+        # build and theory-check run one k, and theory-check runs aiht only.
+        outdir = tmp_path / "out"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n_data": 10, "s_count": 30, **config}))
+        assert main([*argv, "--config", str(cfg_file), "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not outdir.exists()
+
     def test_k_above_data_count_exits_one(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         rc = main(["sweep", "--experiment", "gaussian", "--n-data", "100", "--k", "200",
@@ -610,6 +671,55 @@ class TestMainEntry:
                    "--trials", "1", "--seed", "0", "--s-count", "80",
                    "--outdir", str(tmp_path / "runs"), "--no-timing"])
         assert rc == 0
+
+    def test_csv_gaussian_mean_sweep_matches_the_gaussian_sweep(self, tmp_path, capsys):
+        # The gaussian experiment's dataset, written by gen-data and read
+        # back as a gaussian_mean CSV, gives the same runs bit for bit.
+        common = ["--seed", "4", "--k", "5,10", "--s-count", "100", "--trials", "1",
+                  "--no-timing"]
+        assert main(["gen-data", "--experiment", "gaussian", "--dim", "3", "--n-data", "40",
+                     "--seed", "4", "--outdir", str(tmp_path)]) == 0
+        data_path = capsys.readouterr().out.strip()
+        assert main(["sweep", "--experiment", "gaussian", "--dim", "3", "--n-data", "40",
+                     *common, "--outdir", str(tmp_path / "gaussian")]) == 0
+        assert main(["sweep", "--experiment", "csv", "--csv-path", data_path,
+                     "--csv-kind", "gaussian_mean", *common,
+                     "--outdir", str(tmp_path / "csv")]) == 0
+        for k in (5, 10):
+            runs = []
+            for experiment in ("gaussian", "csv"):
+                path = tmp_path / experiment / f"run_{experiment}_aiht_k{k}_t0.json"
+                run = json.loads(path.read_text())
+                assert run.pop("experiment") == run.pop("config")["experiment"] == experiment
+                runs.append(run)
+            assert "error" not in runs[0] and runs[0]["trace"]["records"]
+            assert runs[0] == runs[1]
+
+
+def readme_flag_lists() -> dict:
+    """Each subcommand's flags, as the README's command-line table lists them."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `([a-z-]+)` \| (`--.*`) \|$", readme.read_text(encoding="utf-8"),
+                      re.MULTILINE)
+    return {command: re.findall(r"--[a-z-]+", flags) for command, flags in rows}
+
+
+def usage(argv, capsys) -> str:
+    """The usage lines that ``coreset-iht *argv --help`` prints."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out.split("\n\n")[0]
+
+
+def test_readme_lists_the_flags_each_subcommand_accepts(capsys):
+    listed = readme_flag_lists()
+    (commands,) = re.findall(r"\{([a-z,-]+)\}", usage([], capsys))
+    assert list(listed) == commands.split(",")
+    for command, flags in listed.items():
+        assert len(set(flags)) == len(flags), command
+        accepted = set(re.findall(r"--[a-z][a-z-]*", usage([command], capsys)))
+        assert accepted == set(flags), command
 
 
 def run_python(code, cwd=None):

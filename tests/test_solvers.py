@@ -528,6 +528,15 @@ class TestNonFiniteStep:
                 solver(problem, SolverConfig(k=1, max_iters=5))
             assert err.value.iteration == 0
 
+    @pytest.mark.parametrize("solver", [solve_aiht, solve_aiht_debias, solve_aiht_batched])
+    def test_overflowing_objective_is_divergence(self, solver):
+        # y is finite, but ||y - phi w||^2 overflows at the first iterate; the
+        # kernel stops there instead of carrying an infinite objective on.
+        problem = SparseRegressionProblem(np.eye(3), np.full(3, 1e160))
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+            solver(problem, SolverConfig(k=2))
+        assert err.value.iteration == 0
+
 
 def reference_accelerated_iht(problem, cfg, *, debias, batched=False):
     """The accelerated-IHT loop written with the public helpers and a dense
