@@ -1,7 +1,8 @@
 """Experiment driver: data generation, coreset construction, sweeps, theory checks.
 
 Outputs are data files (per-run JSON, aggregate CSV, report JSON), not plots.
-Every output embeds the full configuration and seed that produced it.
+Every output embeds its seed and the configuration fields its subcommand
+reads, as listed in ``_FLAGS``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -209,8 +210,9 @@ def _metrics(model: BayesianModel, pi_hat: GaussianDist, weights) -> dict:
             "map_l2": map_l2_distance(pi_hat, coreset)}
 
 
-def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
-    """All k values for one trial; returns a list of run dicts."""
+def _run_trial(cfg: ExperimentConfig, trial: int, config: dict) -> list:
+    """All k values for one trial; returns a list of run dicts, each
+    recording ``config``."""
     runs = []
     model = _model_for_trial(cfg, trial)
     n = model.dataset.n
@@ -221,7 +223,6 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> list:
     problem = None
     if cfg.solver != "uniform":
         problem = build_projection(model, pi_hat, cfg.s_count, (cfg.seed, trial, 1)).to_problem()
-    config = cfg.to_dict()
     for k in cfg.k_list:
         run = {
             "config": config,
@@ -269,9 +270,10 @@ def _quantiles(values) -> tuple:
     return (median, *quartiles)
 
 
-def _aggregate(cfg: ExperimentConfig, runs: list) -> str:
-    """Build the aggregate CSV text: medians and quartiles per k."""
-    lines = [f"# config={json.dumps(cfg.to_dict(), sort_keys=True)}", ",".join(CSV_COLUMNS)]
+def _aggregate(cfg: ExperimentConfig, config: dict, runs: list) -> str:
+    """Build the aggregate CSV text: the ``config`` comment, then medians and
+    quartiles per k."""
+    lines = [f"# config={json.dumps(config, sort_keys=True)}", ",".join(CSV_COLUMNS)]
     for k in cfg.k_list:
         good = [r for r in runs if r["k"] == k and "error" not in r]
         if good:
@@ -311,7 +313,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    runs = [run for t in range(cfg.trials) for run in _run_trial(cfg, t)]
+    config = _recorded(cfg, "sweep")
+    runs = [run for t in range(cfg.trials) for run in _run_trial(cfg, t, config)]
 
     run_paths = []
     failures = 0
@@ -323,7 +326,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         if "error" in run:
             failures += 1
     csv_path = outdir / f"aggregate_{cfg.experiment}_{cfg.solver}.csv"
-    csv_path.write_text(_aggregate(cfg, runs), encoding="utf-8")
+    csv_path.write_text(_aggregate(cfg, config, runs), encoding="utf-8")
     return SweepResult(csv_path=csv_path, run_paths=run_paths, failures=failures)
 
 
@@ -350,7 +353,7 @@ def run_theory_check(cfg: ExperimentConfig) -> tuple[Path, bool]:
     w_star, f_star = brute_force_optimum(problem, k, budget=cfg.rip_budget)
     report = check_iterative_invariant(problem, _solver_config(cfg, k, 0), w_star, rip)
     payload = {
-        "config": cfg.to_dict(),
+        "config": _recorded(cfg, "theory-check"),
         "seed": cfg.seed,
         "planted_support": [int(i) for i in planted.support],
         "brute_force_support": [int(i) for i in w_star.support],
@@ -385,8 +388,7 @@ def run_build(cfg: ExperimentConfig) -> Path:
         raise ValueError(f"build takes one sparsity level, got k_list {cfg.k_list}")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    runs = _run_trial(replace(cfg, trials=1), 0)
-    run = runs[0]
+    (run,) = _run_trial(cfg, 0, _recorded(cfg, "build"))
     if "error" in run:
         raise _RunFailed(run["error"])
     path = outdir / f"build_{cfg.experiment}_{cfg.solver}_k{run['k']}.json"
@@ -427,7 +429,7 @@ def run_evaluate(weights_path, outdir=None) -> dict:
     w = np.zeros(n)
     w[support] = values
     metrics = _metrics(model, full_data_posterior(model), WeightVector(w))
-    result = {"config": cfg.to_dict(), "seed": payload["seed"],
+    result = {"config": payload["config"], "seed": payload["seed"],
               "k": payload["k"], "metrics": metrics}
     if outdir is not None:
         out = Path(outdir)
@@ -439,45 +441,79 @@ def run_evaluate(weights_path, outdir=None) -> dict:
 
 # -- argument parsing --------------------------------------------------------
 
-# Each flag, with the subcommands whose code reads its setting; argparse
-# refuses a flag on any other subcommand.
+def _sparsity_levels(text: str) -> list:
+    """``--k`` "10,20" as [10, 20]. Empty entries are skipped, so an empty
+    ``--k`` gives [], which ExperimentConfig refuses."""
+    return [int(v) for v in text.split(",") if v]
+
+
+# The one table of settings: each row's flag (None for a setting only a
+# config file gives), the ExperimentConfig field it sets (None for a flag
+# that is not a config field) and the subcommands whose code reads it.
+# argparse refuses a flag, and config_from_args a config file field, on any
+# other subcommand; an output records the fields its subcommand reads.
 _FLAGS = (
-    ("--config", "gen-data build sweep theory-check",
+    ("--config", None, "gen-data build sweep theory-check",
      dict(help="JSON config file; flags override its fields")),
-    ("--experiment", "gen-data build sweep", dict(choices=EXPERIMENTS)),
-    ("--solver", "build sweep", dict(choices=SOLVERS)),
-    ("--k", "build sweep theory-check", dict(help="comma-separated sparsity levels")),
-    ("--trials", "sweep", dict(type=int)),
-    ("--seed", "gen-data build sweep theory-check", dict(type=int)),
-    ("--s-count", "build sweep theory-check", dict(type=int)),
-    ("--dim", "gen-data build sweep", dict(type=int)),
-    ("--n-data", "gen-data build sweep theory-check", dict(type=int)),
-    ("--weights", "evaluate", dict(required=True, help="build output JSON")),
-    ("--outdir", "gen-data build sweep theory-check evaluate", dict(help="output directory")),
-    ("--rel-tol", "build sweep theory-check", dict(type=float)),
-    ("--max-iters", "build sweep theory-check", dict(type=int)),
-    ("--batch-fraction", "build sweep", dict(type=float)),
-    ("--step", "build sweep", dict(type=float, dest="vanilla_step")),
-    ("--csv-path", "gen-data build sweep", {}),
-    ("--csv-kind", "gen-data build sweep", {}),
-    ("--rip-budget", "theory-check", dict(type=int)),
-    ("--near-orthonormal", "theory-check", dict(action="store_const", const=True)),
-    ("--no-timing", "build sweep",
-     dict(action="store_const", const=False, dest="record_timing")),
+    ("--experiment", "experiment", "gen-data build sweep", dict(choices=EXPERIMENTS)),
+    ("--solver", "solver", "build sweep", dict(choices=SOLVERS)),
+    ("--k", "k_list", "build sweep theory-check",
+     dict(type=_sparsity_levels, help="comma-separated sparsity levels")),
+    ("--trials", "trials", "sweep", dict(type=int)),
+    ("--seed", "seed", "gen-data build sweep theory-check", dict(type=int)),
+    ("--s-count", "s_count", "build sweep theory-check", dict(type=int)),
+    ("--dim", "dim", "gen-data build sweep", dict(type=int)),
+    ("--n-data", "n_data", "gen-data build sweep theory-check", dict(type=int)),
+    (None, "basis_scales", "gen-data build sweep", {}),
+    (None, "per_scale_count", "gen-data build sweep", {}),
+    ("--weights", None, "evaluate", dict(required=True, help="build output JSON")),
+    ("--outdir", "outdir", "gen-data build sweep theory-check evaluate",
+     dict(help="output directory")),
+    ("--rel-tol", "rel_tol", "build sweep theory-check", dict(type=float)),
+    ("--max-iters", "max_iters", "build sweep theory-check", dict(type=int)),
+    ("--batch-fraction", "batch_fraction", "build sweep", dict(type=float)),
+    ("--step", "vanilla_step", "build sweep", dict(type=float)),
+    ("--csv-path", "csv_path", "gen-data build sweep", {}),
+    ("--csv-kind", "csv_kind", "gen-data build sweep", {}),
+    ("--rip-budget", "rip_budget", "theory-check", dict(type=int)),
+    ("--near-orthonormal", "near_orthonormal", "theory-check",
+     dict(action="store_const", const=True)),
+    ("--no-timing", "record_timing", "build sweep", dict(action="store_const", const=False)),
 )
+
+_COMMANDS = {
+    "gen-data": "write a synthetic dataset CSV",
+    "build": "construct one coreset and write weights + trace",
+    "sweep": "run the (trial x k) sweep and write per-run JSON + aggregate CSV",
+    "theory-check": "verify the solver error bound on a small planted instance",
+    "evaluate": "recompute metrics for a build output",
+}
+
+# The config fields each subcommand reads.
+_READS = {command: frozenset(name for _, name, commands, _ in _FLAGS
+                            if name and command in commands.split())
+         for command in _COMMANDS}
+
+
+def _recorded(cfg: ExperimentConfig, command: str) -> dict:
+    """The fields of ``cfg`` that ``command`` reads: the config its outputs record."""
+    return {name: value for name, value in cfg.to_dict().items() if name in _READS[command]}
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Precedence: flags > config file > dataclass defaults."""
+    """Precedence: flags > config file > dataclass defaults. A config file
+    field that ``args.command`` does not read is refused."""
     payload = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if not isinstance(payload, dict):
         raise ValueError(f"{args.config}: a config must be a JSON object")
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
+    reads = _READS[args.command]
+    unread = sorted(set(payload) & {f.name for f in fields(ExperimentConfig)} - reads)
+    if unread:
+        raise ValueError(f"{args.command} does not read config fields {unread}")
+    for name in reads:
+        value = getattr(args, name, None)
         if value is not None:
-            payload[f.name] = value
-    if getattr(args, "k", None):
-        payload["k_list"] = [int(v) for v in str(args.k).split(",") if v]
+            payload[name] = value
     return ExperimentConfig.from_dict(payload)
 
 
@@ -486,17 +522,11 @@ def main(argv=None) -> int:
         prog="coreset-iht",
         description="Bayesian coreset construction by accelerated iterative hard thresholding")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("gen-data", "write a synthetic dataset CSV"),
-        ("build", "construct one coreset and write weights + trace"),
-        ("sweep", "run the (trial x k) sweep and write per-run JSON + aggregate CSV"),
-        ("theory-check", "verify the solver error bound on a small planted instance"),
-        ("evaluate", "recompute metrics for a build output"),
-    ):
-        p = sub.add_parser(name, help=text)
-        for flag, commands, options in _FLAGS:
-            if name in commands.split():
-                p.add_argument(flag, **options)
+    for command, text in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, name, commands, options in _FLAGS:
+            if flag and command in commands.split():
+                p.add_argument(flag, **({"dest": name} if name else {}), **options)
 
     args = parser.parse_args(argv)
     try:

@@ -101,6 +101,20 @@ def _row_chunks(a: np.ndarray):
         yield slice(lo, lo + step), rows, scratch[:rows.shape[0]]
 
 
+def _covariance_cholesky(cov: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of a covariance given from outside a fit, after
+    checking that it is finite, symmetric within ``COV_SYMMETRY_TOL`` and
+    positive definite; ``name`` names it in the error."""
+    if not np.all(np.isfinite(cov)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if np.max(np.abs(cov - cov.T)) > COV_SYMMETRY_TOL:
+        raise ValueError(f"{name} is not symmetric")
+    try:
+        return np.linalg.cholesky((cov + cov.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{name} is not positive definite") from exc
+
+
 def _tril_inv(chol: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular matrix with a positive diagonal; the
     dense inverse leaves rounding residue above the diagonal, cleared here."""
@@ -134,14 +148,9 @@ class GaussianDist:
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise ValueError(f"cov has shape {cov.shape}, expected ({d}, {d})")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean/cov contain non-finite entries")
-        if np.max(np.abs(cov - cov.T)) > COV_SYMMETRY_TOL:
-            raise ValueError("covariance is not symmetric")
-        try:
-            chol = np.linalg.cholesky((cov + cov.T) / 2.0)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance is not positive definite") from exc
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean contains non-finite entries")
+        chol = _covariance_cholesky(cov, "covariance")
         for name, value in (("mean", mean), ("cov", cov), ("chol", chol),
                             ("chol_inv", _tril_inv(chol))):
             object.__setattr__(self, name, _frozen_array(value))
@@ -254,7 +263,7 @@ class BayesianModel:
             obs_cov = np.asarray(obs_cov, dtype=np.float64)
             if obs_cov.shape != (self.dataset.d, self.dataset.d):
                 raise ValueError("obs_cov shape does not match feature dimension")
-            np.linalg.cholesky(obs_cov)  # must be positive definite
+            _covariance_cholesky(obs_cov, "obs_cov")
             obs_prec = np.linalg.inv(obs_cov)
             object.__setattr__(self, "obs_cov", _frozen_array(obs_cov))
             object.__setattr__(self, "obs_prec", _frozen_array((obs_prec + obs_prec.T) / 2.0))
@@ -724,7 +733,10 @@ def synth_radial_basis_model(n: int, basis_scales, per_scale_count: int,
     scales.append(100.0)
     means = np.vstack(means)
     scales = np.asarray(scales)
-    sq_dist = ((coords[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    # Squared distances one coordinate at a time, with no N x B x 2
+    # temporary; the bits are those of the sum over the coordinate axis.
+    sq_dist = (coords[:, 0, None] - means[None, :, 0]) ** 2
+    sq_dist += (coords[:, 1, None] - means[None, :, 1]) ** 2
     feats = np.exp(-sq_dist / (2.0 * scales[None, :] ** 2))
     d = feats.shape[1]
     alpha = rng.standard_normal(d)

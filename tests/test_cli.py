@@ -110,10 +110,11 @@ class TestConfig:
             ExperimentConfig.from_dict({"mystery_knob": 1})
 
     def test_flag_precedence_over_file(self, tmp_path):
+        # The file is the config a sweep records, which a sweep reads back.
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(tiny_config(tmp_path, trials=5).to_dict()))
+        cfg_file.write_text(json.dumps(cli._recorded(tiny_config(tmp_path, trials=5), "sweep")))
         import argparse
-        ns = argparse.Namespace(config=str(cfg_file), trials=2, k="7")
+        ns = argparse.Namespace(command="sweep", config=str(cfg_file), trials=2, k_list=[7])
         cfg = config_from_args(ns)
         assert cfg.trials == 2           # flag wins
         assert cfg.k_list == [7]         # flag wins
@@ -173,10 +174,12 @@ class TestSweep:
         cfg = tiny_config(tmp_path, k_list=[4], trials=1)
         result = run_sweep(cfg)
         header, _ = read_aggregate(result.csv_path)
-        assert json.loads(header[len("# config="):]) == cfg.to_dict()
+        recorded = {name: value for name, value in cfg.to_dict().items()
+                    if name != "rip_budget" and name != "near_orthonormal"}
+        assert json.loads(header[len("# config="):]) == recorded
         for p in result.run_paths:
             payload = json.loads(p.read_text())
-            assert payload["config"] == cfg.to_dict()
+            assert payload["config"] == recorded
             assert "seed" in payload
 
     def test_failures_recorded_and_sweep_continues(self, tmp_path):
@@ -380,6 +383,14 @@ class TestTheoryCheck:
         with pytest.raises(EnumerationBudgetError):
             run_theory_check(cfg)
 
+    def test_library_call_with_another_solver_refused(self, tmp_path):
+        # The CLI cannot set a theory-check solver; a library caller can.
+        cfg = tiny_config(tmp_path / "out", n_data=8, k_list=[2], s_count=30,
+                          solver="aiht_debias")
+        with pytest.raises(ValueError, match="checks the aiht solver, not 'aiht_debias'"):
+            run_theory_check(cfg)
+        assert not (tmp_path / "out").exists()
+
 
 class TestDataAndBuild:
     def test_gen_data_round_trip(self, tmp_path):
@@ -564,7 +575,7 @@ class TestMainEntry:
                                                            config, message):
         outdir = tmp_path / "out"
         if isinstance(config, dict):
-            config = {**tiny_config(outdir, trials=1).to_dict(), **config}
+            config = {**cli._recorded(tiny_config(outdir, trials=1), "sweep"), **config}
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(cfg_file), "--outdir", str(outdir)]) == 1
@@ -623,11 +634,15 @@ class TestMainEntry:
         (["theory-check", "--k", "2,3"], {},
          "theory-check takes one sparsity level, got k_list [2, 3]"),
         (["theory-check", "--k", "2"], {"solver": "aiht_debias"},
-         "theory-check checks the aiht solver, not 'aiht_debias'"),
-    ], ids=["build_k_list", "theory_check_k_list", "theory_check_solver"])
+         "theory-check does not read config fields ['solver']"),
+        (["build", "--k", ""], {}, "k_list must contain positive sparsity levels"),
+        (["sweep", "--k", ""], {}, "k_list must contain positive sparsity levels"),
+    ], ids=["build_k_list", "theory_check_k_list", "theory_check_solver", "build_empty_k",
+            "sweep_empty_k"])
     def test_setting_the_subcommand_would_drop_is_refused(self, tmp_path, capsys, argv,
                                                           config, message):
-        # build and theory-check run one k, and theory-check runs aiht only.
+        # build and theory-check run one k, theory-check runs aiht only, and
+        # an empty --k is no sparsity level, not the default one.
         outdir = tmp_path / "out"
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"n_data": 10, "s_count": 30, **config}))
@@ -720,6 +735,68 @@ def test_readme_lists_the_flags_each_subcommand_accepts(capsys):
         assert len(set(flags)) == len(flags), command
         accepted = set(re.findall(r"--[a-z][a-z-]*", usage([command], capsys)))
         assert accepted == set(flags), command
+
+
+# -- the settings table: every config field has a reader ---------------------
+
+CONFIG_COMMANDS = ("gen-data", "build", "sweep", "theory-check")
+DEFAULTS = ExperimentConfig().to_dict()
+
+
+def test_every_config_field_has_a_reader():
+    assert set().union(*cli._READS.values()) == set(DEFAULTS)
+    assert {command: len(cli._READS[command]) for command in CONFIG_COMMANDS} == {
+        "gen-data": 9, "build": 17, "sweep": 18, "theory-check": 9}
+
+
+# Each field a subcommand does not read, with its default value, so only the
+# reading is refused; then files of several such fields.
+UNREAD_CONFIGS = [(command, {name: DEFAULTS[name]})
+                  for command in CONFIG_COMMANDS
+                  for name in sorted(set(DEFAULTS) - cli._READS[command])] + [
+    ("sweep", {"rip_budget": 5, "near_orthonormal": True}),
+    ("theory-check", {"experiment": "logistic", "dim": 7, "basis_scales": [9.0], "trials": 4}),
+    ("gen-data", {"solver": "vanilla", "n_data": 30}),
+]
+
+
+@pytest.mark.parametrize("command,config", UNREAD_CONFIGS,
+                         ids=[f"{c} {','.join(config)}" for c, config in UNREAD_CONFIGS])
+def test_config_field_the_subcommand_does_not_read_is_refused(tmp_path, capsys, command,
+                                                              config):
+    # A field the subcommand's code never reads would be ignored, or recorded
+    # in the output as if it had been used.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_file), "--outdir", str(tmp_path / "out")]) == 1
+    unread = sorted(set(config) - cli._READS[command])
+    assert capsys.readouterr().err == f"error: {command} does not read config fields {unread}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_each_output_records_the_fields_its_subcommand_reads(tmp_path, capsys):
+    common = ["--n-data", "8", "--seed", "3", "--s-count", "30", "--k", "2"]
+    for command, extra in (("sweep", ["--trials", "2", "--no-timing"]), ("build", []),
+                           ("theory-check", [])):
+        assert main([command, *common, *extra, "--outdir", str(tmp_path / command)]) == 0
+    (build_path,) = (tmp_path / "build").glob("build_*.json")
+    assert main(["evaluate", "--weights", str(build_path),
+                 "--outdir", str(tmp_path / "evaluate")]) == 0
+    capsys.readouterr()
+
+    (csv_path,) = (tmp_path / "sweep").glob("aggregate_*.csv")
+    header, _ = read_aggregate(csv_path)
+    sweep_configs = [json.loads(header[len("# config="):])] + [
+        json.loads(p.read_text())["config"] for p in (tmp_path / "sweep").glob("run_*.json")]
+    assert len(sweep_configs) == 3
+    for config in sweep_configs:
+        assert set(config) == cli._READS["sweep"]
+    build_config = json.loads(build_path.read_text())["config"]
+    assert set(build_config) == cli._READS["build"]
+    theory = json.loads((tmp_path / "theory-check" / "theory_check.json").read_text())
+    assert set(theory["config"]) == cli._READS["theory-check"]
+    (metrics_path,) = (tmp_path / "evaluate").iterdir()
+    assert json.loads(metrics_path.read_text())["config"] == build_config
 
 
 def run_python(code, cwd=None):

@@ -185,6 +185,18 @@ class TestModelValidation:
             BayesianModel(kind="linear_regression", dataset=Dataset([[1.0]], [0.5]),
                           prior=prior)
 
+    @pytest.mark.parametrize("cov,message", [
+        ([[1.0, 0.9], [0.0, 1.0]], "is not symmetric"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "contains non-finite entries"),
+        ([[1.0, 2.0], [2.0, 1.0]], "is not positive definite"),
+    ], ids=["asymmetric", "nan", "indefinite"])
+    def test_covariances_checked_by_one_rule(self, cov, message):
+        # The observation covariance is held to the prior covariance's rules.
+        with pytest.raises(ValueError, match=f"^covariance {message}$"):
+            GaussianDist(np.zeros(2), cov)
+        with pytest.raises(ValueError, match=f"^obs_cov {message}$"):
+            gaussian_mean_model(np.zeros((3, 2)), obs_cov=np.array(cov))
+
     def test_prior_dim_must_match(self):
         prior = GaussianDist(np.zeros(2), np.eye(2))  # logistic over 1 feature needs dim 2
         BayesianModel(kind="logistic", dataset=Dataset([[0.1]], [1.0]), prior=prior)
