@@ -1,8 +1,10 @@
 """Experiment driver: data generation, coreset construction, sweeps, theory checks.
 
 Outputs are data files (per-run JSON, aggregate CSV, report JSON), not plots.
-Every output embeds its seed and the configuration fields its subcommand
-reads, as listed in ``_FLAGS``.
+Every output embeds its seed and the configuration fields it was made
+from: those its subcommand reads, as listed in ``_FLAGS``, less those that
+only another experiment or solver reads, as listed in ``EXPERIMENTS`` and
+``SOLVERS``.
 """
 
 from __future__ import annotations
@@ -19,23 +21,27 @@ import numpy as np
 from .baselines import uniform_coreset
 from .evaluation import (
     EnumerationBudgetError,
+    NegativeKlError,
     brute_force_optimum,
     check_iterative_invariant,
     coreset_kl,
     estimate_rip,
+    isometry_levels,
     make_planted_problem,
     map_l2_distance,
 )
 from .models import (
     MODEL_KINDS,
     BayesianModel,
-    Dataset,
+    CurvatureError,
     GaussianDist,
+    NewtonConvergenceError,
     build_projection,
     full_data_posterior,
     load_csv_dataset,
     posterior_approximation,
     save_csv_dataset,
+    standard_model,
     synth_gaussian_dataset,
     synth_glm_dataset,
     synth_radial_basis_model,
@@ -49,8 +55,24 @@ from .solvers import (
     solve_vanilla_iht,
 )
 
-EXPERIMENTS = ("gaussian", "radial_basis", "logistic", "poisson", "csv")
-SOLVERS = ("vanilla", "aiht", "aiht_debias", "aiht_batched", "uniform")
+# Each experiment and each solver, with those of the config fields its code
+# reads that not every choice reads. A field no row names is read whatever
+# the choice.
+EXPERIMENTS = {
+    "gaussian": frozenset({"dim", "n_data"}),
+    "radial_basis": frozenset({"n_data", "basis_scales", "per_scale_count"}),
+    "logistic": frozenset({"dim", "n_data"}),
+    "poisson": frozenset({"dim", "n_data"}),
+    "csv": frozenset({"csv_path", "csv_kind"}),
+}
+_PROJECTION_FIELDS = frozenset({"s_count", "max_iters", "rel_tol"})
+SOLVERS = {
+    "vanilla": _PROJECTION_FIELDS | {"vanilla_step"},
+    "aiht": _PROJECTION_FIELDS,
+    "aiht_debias": _PROJECTION_FIELDS,
+    "aiht_batched": _PROJECTION_FIELDS | {"batch_fraction"},
+    "uniform": frozenset(),  # builds no projection
+}
 
 CSV_COLUMNS = ("experiment", "solver", "k", "trial_count",
                "fkl_med", "fkl_q25", "fkl_q75",
@@ -95,9 +117,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {EXPERIMENTS}")
+            raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}")
         if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}")
+            raise ValueError(f"solver must be one of {tuple(SOLVERS)}")
         if not self.k_list or any(k < 1 for k in self.k_list):
             raise ValueError("k_list must contain positive sparsity levels")
         if len(set(self.k_list)) != len(self.k_list):
@@ -154,19 +176,7 @@ def _model_for_trial(cfg: ExperimentConfig, trial: int) -> BayesianModel:
                                         cfg.per_scale_count, seed)
     if cfg.experiment in ("logistic", "poisson"):
         return synth_glm_dataset(cfg.experiment, cfg.n_data, cfg.dim, seed)
-    dataset = load_csv_dataset(cfg.csv_path, cfg.csv_kind)
-    return _model_from_dataset(dataset, cfg.csv_kind)
-
-
-def _model_from_dataset(dataset: Dataset, kind: str) -> BayesianModel:
-    if kind in ("logistic", "poisson"):
-        prior = GaussianDist(np.zeros(dataset.d + 1), np.eye(dataset.d + 1))
-        return BayesianModel(kind=kind, dataset=dataset, prior=prior)
-    prior = GaussianDist(np.zeros(dataset.d), np.eye(dataset.d))
-    if kind == "linear_regression":
-        noise_var = float(np.var(dataset.y)) or 1.0
-        return BayesianModel(kind=kind, dataset=dataset, prior=prior, noise_var=noise_var)
-    return BayesianModel(kind="gaussian_mean", dataset=dataset, prior=prior)
+    return standard_model(cfg.csv_kind, load_csv_dataset(cfg.csv_path, cfg.csv_kind))
 
 
 def _solver_config(cfg: ExperimentConfig, k: int, trial: int) -> SolverConfig:
@@ -348,8 +358,7 @@ def run_theory_check(cfg: ExperimentConfig) -> tuple[Path, bool]:
     outdir.mkdir(parents=True, exist_ok=True)
     problem, planted = make_planted_problem(
         cfg.n_data, cfg.s_count, k, cfg.seed, near_orthonormal=cfg.near_orthonormal)
-    levels = sorted({min(m * k, problem.n) for m in (1, 2, 3, 4)})
-    rip = estimate_rip(problem, levels, budget=cfg.rip_budget)
+    rip = estimate_rip(problem, isometry_levels(k, problem.n), budget=cfg.rip_budget)
     w_star, f_star = brute_force_optimum(problem, k, budget=cfg.rip_budget)
     report = check_iterative_invariant(problem, _solver_config(cfg, k, 0), w_star, rip)
     payload = {
@@ -401,7 +410,9 @@ def run_evaluate(weights_path, outdir=None) -> dict:
 
     Raises ``ValueError`` naming the file when it holds no coreset weights, as
     the run JSON of a failed sweep run does, or weights that do not fit the
-    rebuilt model.
+    rebuilt model. The result records the fields of the input's config that
+    a sweep of its experiment and solver reads; any other recorded field, as
+    outputs written before configs were cut to that set carry, is dropped.
     """
     payload = json.loads(Path(weights_path).read_text(encoding="utf-8"))
     if "error" in payload:
@@ -429,7 +440,9 @@ def run_evaluate(weights_path, outdir=None) -> dict:
     w = np.zeros(n)
     w[support] = values
     metrics = _metrics(model, full_data_posterior(model), WeightVector(w))
-    result = {"config": payload["config"], "seed": payload["seed"],
+    reads = _reads(cfg, "sweep")
+    config = {name: value for name, value in payload["config"].items() if name in reads}
+    result = {"config": config, "seed": payload["seed"],
               "k": payload["k"], "metrics": metrics}
     if outdir is not None:
         out = Path(outdir)
@@ -451,7 +464,9 @@ def _sparsity_levels(text: str) -> list:
 # config file gives), the ExperimentConfig field it sets (None for a flag
 # that is not a config field) and the subcommands whose code reads it.
 # argparse refuses a flag, and config_from_args a config file field, on any
-# other subcommand; an output records the fields its subcommand reads.
+# other subcommand. config_from_args also refuses a field or flag that only
+# another experiment or solver reads (EXPERIMENTS, SOLVERS), and an output
+# records the fields that remain.
 _FLAGS = (
     ("--config", None, "gen-data build sweep theory-check",
      dict(help="JSON config file; flags override its fields")),
@@ -489,32 +504,50 @@ _COMMANDS = {
     "evaluate": "recompute metrics for a build output",
 }
 
-# The config fields each subcommand reads.
+# The config fields each subcommand reads, whatever its experiment and solver.
 _READS = {command: frozenset(name for _, name, commands, _ in _FLAGS
                             if name and command in commands.split())
          for command in _COMMANDS}
 
 
+def _reads(cfg: ExperimentConfig, command: str) -> frozenset:
+    """The fields ``command`` reads with ``cfg``'s experiment and solver: its
+    ``_READS`` entry minus the fields that only other choices read."""
+    reads = _READS[command]
+    for name, table in (("experiment", EXPERIMENTS), ("solver", SOLVERS)):
+        if name in reads:
+            reads -= frozenset().union(*table.values()) - table[getattr(cfg, name)]
+    return reads
+
+
 def _recorded(cfg: ExperimentConfig, command: str) -> dict:
     """The fields of ``cfg`` that ``command`` reads: the config its outputs record."""
-    return {name: value for name, value in cfg.to_dict().items() if name in _READS[command]}
+    reads = _reads(cfg, command)
+    return {name: value for name, value in cfg.to_dict().items() if name in reads}
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Precedence: flags > config file > dataclass defaults. A config file
-    field that ``args.command`` does not read is refused."""
+    field or flag that ``args.command`` does not read, with the experiment
+    and solver it runs, is refused."""
     payload = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     if not isinstance(payload, dict):
         raise ValueError(f"{args.config}: a config must be a JSON object")
-    reads = _READS[args.command]
-    unread = sorted(set(payload) & {f.name for f in fields(ExperimentConfig)} - reads)
+    command = args.command
+    unread = sorted(set(payload) & {f.name for f in fields(ExperimentConfig)} - _READS[command])
     if unread:
-        raise ValueError(f"{args.command} does not read config fields {unread}")
-    for name in reads:
+        raise ValueError(f"{command} does not read config fields {unread}")
+    for name in _READS[command]:
         value = getattr(args, name, None)
         if value is not None:
             payload[name] = value
-    return ExperimentConfig.from_dict(payload)
+    cfg = ExperimentConfig.from_dict(payload)
+    unread = sorted(set(payload) - _reads(cfg, command))
+    if unread:
+        choices = " and ".join(f"{name} {getattr(cfg, name)}"
+                               for name in ("experiment", "solver") if name in _READS[command])
+        raise ValueError(f"{command} with {choices} does not read config fields {unread}")
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -556,6 +589,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError, _RunFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (NewtonConvergenceError, CurvatureError, NegativeKlError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -236,14 +236,21 @@ def brute_force_optimum(problem: SparseRegressionProblem, k: int,
 
 # -- solver error-bound verification ----------------------------------------
 
+def isometry_levels(k: int, n: int) -> tuple:
+    """The sparsity levels (k, 2k, 3k, 4k) whose isometry constants the
+    error bound uses, each clamped at n (an s-sparse set with s >= n is all
+    of R^n)."""
+    return tuple(min(m * k, n) for m in (1, 2, 3, 4))
+
+
 def contraction_factor(rip: RipConstants, k: int, n: int) -> float:
     """Per-iteration contraction constant from the isometry bounds.
 
     2 max(beta_2k/alpha_3k - 1, 1 - alpha_2k/beta_3k)
       + (beta_4k - alpha_4k)/alpha_3k,
-    with each level clamped at n (an s-sparse set with s >= n is all of R^n).
+    at the levels of ``isometry_levels(k, n)``.
     """
-    l2, l3, l4 = (min(m * k, n) for m in (2, 3, 4))
+    _, l2, l3, l4 = isometry_levels(k, n)
     a2, a3, a4 = rip.alpha_at(l2), rip.alpha_at(l3), rip.alpha_at(l4)
     b2, b3, b4 = rip.beta_at(l2), rip.beta_at(l3), rip.beta_at(l4)
     if a3 <= 0 or b3 <= 0:
@@ -319,17 +326,17 @@ def check_iterative_invariant(problem: SparseRegressionProblem, cfg: SolverConfi
     where tau_t is the momentum coefficient that produced the iteration's
     momentum iterate and rho the contraction factor from the isometry
     constants. ``w_star`` must be the global optimum (use the brute-force
-    search) and ``rip`` must cover levels {k, 2k, 3k, 4k} clamped at n.
+    search) and ``rip`` must cover ``isometry_levels(k, n)``.
     """
     n = problem.n
     k = cfg.k
-    needed = sorted({min(m * k, n) for m in (1, 2, 3, 4)})
-    for level in needed:
+    levels = isometry_levels(k, n)
+    for level in levels:
         if level not in rip.levels:
             raise ValueError(f"rip constants missing level {level}")
     rho = contraction_factor(rip, k, n)
-    b2 = rip.beta_at(min(2 * k, n))
-    b3 = rip.beta_at(min(3 * k, n))
+    b2 = rip.beta_at(levels[1])
+    b3 = rip.beta_at(levels[2])
     ws = _as_weights(w_star)
     resid = problem.y - problem.phi @ ws
     eps_norm = float(np.linalg.norm(resid))

@@ -693,18 +693,26 @@ def full_data_posterior(model: BayesianModel) -> GaussianDist:
 
 # -- synthetic data generators --------------------------------------------
 
+def standard_model(kind: str, dataset: Dataset) -> BayesianModel:
+    """The ``kind`` model of ``dataset`` with prior N(0, I) on its parameters,
+    the logistic and Poisson intercept included. A gaussian_mean model has
+    observation covariance I; a linear_regression one has the targets'
+    variance as its noise variance, or 1 when the targets are constant."""
+    d = dataset.d + 1 if kind in ("logistic", "poisson") else dataset.d
+    prior = GaussianDist(np.zeros(d), np.eye(d))
+    if kind == "linear_regression":
+        noise_var = float(np.var(dataset.y)) or 1.0
+        return BayesianModel(kind=kind, dataset=dataset, prior=prior, noise_var=noise_var)
+    return BayesianModel(kind=kind, dataset=dataset, prior=prior)
+
+
 def synth_gaussian_dataset(d: int, n: int, seed) -> BayesianModel:
     """Draw theta ~ N(0, I) and x_i ~ N(theta, I); return the Gaussian-mean
     model with prior N(0, I) and observation covariance I."""
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(d)
     x = theta + rng.standard_normal((n, d))
-    return BayesianModel(
-        kind="gaussian_mean",
-        dataset=Dataset(x, np.zeros(n)),
-        prior=GaussianDist(np.zeros(d), np.eye(d)),
-        obs_cov=np.eye(d),
-    )
+    return standard_model("gaussian_mean", Dataset(x, np.zeros(n)))
 
 
 def synth_radial_basis_model(n: int, basis_scales, per_scale_count: int,
@@ -766,8 +774,7 @@ def synth_glm_dataset(kind: str, n: int, d: Optional[int] = None, seed=0) -> Bay
         y = np.where(rng.random(n) < _expit(t), 1.0, -1.0)
     else:
         y = rng.poisson(np.logaddexp(0.0, t)).astype(np.float64)
-    prior = GaussianDist(np.zeros(d + 1), np.eye(d + 1))
-    return BayesianModel(kind=kind, dataset=Dataset(x, y), prior=prior)
+    return standard_model(kind, Dataset(x, y))
 
 
 # -- CSV ingestion ---------------------------------------------------------

@@ -174,8 +174,12 @@ class TestSweep:
         cfg = tiny_config(tmp_path, k_list=[4], trials=1)
         result = run_sweep(cfg)
         header, _ = read_aggregate(result.csv_path)
+        # A gaussian aiht sweep reads the fields every sweep reads, the
+        # gaussian experiment's and those of a solver that builds a projection.
         recorded = {name: value for name, value in cfg.to_dict().items()
-                    if name != "rip_budget" and name != "near_orthonormal"}
+                    if name in ("experiment", "solver", "k_list", "trials", "seed", "outdir",
+                                "record_timing", "dim", "n_data", "s_count", "max_iters",
+                                "rel_tol")}
         assert json.loads(header[len("# config="):]) == recorded
         for p in result.run_paths:
             payload = json.loads(p.read_text())
@@ -688,27 +692,30 @@ class TestMainEntry:
         assert rc == 0
 
     def test_csv_gaussian_mean_sweep_matches_the_gaussian_sweep(self, tmp_path, capsys):
-        # The gaussian experiment's dataset, written by gen-data and read
-        # back as a gaussian_mean CSV, gives the same runs bit for bit.
+        # The gaussian and logistic experiments' datasets, written by gen-data
+        # and read back as gaussian_mean and logistic CSVs, give the same runs
+        # bit for bit: both paths take their prior from models.standard_model.
         common = ["--seed", "4", "--k", "5,10", "--s-count", "100", "--trials", "1",
                   "--no-timing"]
-        assert main(["gen-data", "--experiment", "gaussian", "--dim", "3", "--n-data", "40",
-                     "--seed", "4", "--outdir", str(tmp_path)]) == 0
-        data_path = capsys.readouterr().out.strip()
-        assert main(["sweep", "--experiment", "gaussian", "--dim", "3", "--n-data", "40",
-                     *common, "--outdir", str(tmp_path / "gaussian")]) == 0
-        assert main(["sweep", "--experiment", "csv", "--csv-path", data_path,
-                     "--csv-kind", "gaussian_mean", *common,
-                     "--outdir", str(tmp_path / "csv")]) == 0
-        for k in (5, 10):
-            runs = []
-            for experiment in ("gaussian", "csv"):
-                path = tmp_path / experiment / f"run_{experiment}_aiht_k{k}_t0.json"
-                run = json.loads(path.read_text())
-                assert run.pop("experiment") == run.pop("config")["experiment"] == experiment
-                runs.append(run)
-            assert "error" not in runs[0] and runs[0]["trace"]["records"]
-            assert runs[0] == runs[1]
+        for experiment, kind, dim in (("gaussian", "gaussian_mean", "3"),
+                                      ("logistic", "logistic", "2")):
+            outdir = tmp_path / experiment
+            capsys.readouterr()
+            assert main(["gen-data", "--experiment", experiment, "--dim", dim,
+                         "--n-data", "40", "--seed", "4", "--outdir", str(outdir)]) == 0
+            data_path = capsys.readouterr().out.strip()
+            assert main(["sweep", "--experiment", experiment, "--dim", dim, "--n-data", "40",
+                         *common, "--outdir", str(outdir)]) == 0
+            assert main(["sweep", "--experiment", "csv", "--csv-path", data_path,
+                         "--csv-kind", kind, *common, "--outdir", str(outdir)]) == 0
+            for k in (5, 10):
+                runs = []
+                for name in (experiment, "csv"):
+                    run = json.loads((outdir / f"run_{name}_aiht_k{k}_t0.json").read_text())
+                    assert run.pop("experiment") == run.pop("config")["experiment"] == name
+                    runs.append(run)
+                assert "error" not in runs[0] and runs[0]["trace"]["records"]
+                assert runs[0] == runs[1]
 
 
 def readme_flag_lists() -> dict:
@@ -725,6 +732,20 @@ def usage(argv, capsys) -> str:
         main([*argv, "--help"])
     assert exit_info.value.code == 0
     return capsys.readouterr().out.split("\n\n")[0]
+
+
+def test_readme_lists_the_fields_each_choice_reads():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| ((?:experiment|solver) `.*`) \| (`.*`) \|$",
+                      readme.read_text(encoding="utf-8"), re.MULTILINE)
+    listed = {"experiment": {}, "solver": {}}
+    for choices, names in rows:
+        for choice in re.findall(r"`([a-z_]+)`", choices):
+            fields_read = listed[choices.split()[0]].setdefault(choice, set())
+            fields_read.update(re.findall(r"`([a-z_]+)`", names))
+    assert listed == {
+        "experiment": {c: set(f) for c, f in cli.EXPERIMENTS.items() if f},
+        "solver": {c: set(f) for c, f in cli.SOLVERS.items() if f}}
 
 
 def test_readme_lists_the_flags_each_subcommand_accepts(capsys):
@@ -789,14 +810,179 @@ def test_each_output_records_the_fields_its_subcommand_reads(tmp_path, capsys):
     sweep_configs = [json.loads(header[len("# config="):])] + [
         json.loads(p.read_text())["config"] for p in (tmp_path / "sweep").glob("run_*.json")]
     assert len(sweep_configs) == 3
+    # The default gaussian experiment and aiht solver read neither the other
+    # experiments' fields nor the batched and vanilla solvers' settings.
+    unread = {"basis_scales", "per_scale_count", "csv_path", "csv_kind", "batch_fraction",
+              "vanilla_step"}
     for config in sweep_configs:
-        assert set(config) == cli._READS["sweep"]
+        assert set(config) == cli._READS["sweep"] - unread
     build_config = json.loads(build_path.read_text())["config"]
-    assert set(build_config) == cli._READS["build"]
+    assert set(build_config) == cli._READS["build"] - unread
     theory = json.loads((tmp_path / "theory-check" / "theory_check.json").read_text())
     assert set(theory["config"]) == cli._READS["theory-check"]
     (metrics_path,) = (tmp_path / "evaluate").iterdir()
     assert json.loads(metrics_path.read_text())["config"] == build_config
+
+
+# -- the choice tables: each experiment and solver names the fields it reads --
+
+PAIRS = [(experiment, solver) for experiment in cli.EXPERIMENTS for solver in cli.SOLVERS]
+
+
+@pytest.fixture(scope="module")
+def dataset_csv(tmp_path_factory):
+    """A 20-row logistic dataset CSV for the csv experiment."""
+    cfg = ExperimentConfig.from_dict({"experiment": "logistic", "n_data": 20, "seed": 1,
+                                      "outdir": str(tmp_path_factory.mktemp("data"))})
+    return run_gen_data(cfg)
+
+
+def choice_payload(experiment, solver, csv_path, outdir):
+    """A tiny valid config of ``experiment`` and ``solver`` that sets every
+    field."""
+    return dict(experiment=experiment, solver=solver, k_list=[3], trials=1, seed=1,
+                s_count=30, outdir=str(outdir), dim=2, n_data=20, basis_scales=[0.5, 1.0],
+                per_scale_count=2, csv_path=str(csv_path), csv_kind="logistic",
+                max_iters=50, rel_tol=1e-5, batch_fraction=0.2, vanilla_step=0.5,
+                record_timing=False, rip_budget=10 ** 6, near_orthonormal=False)
+
+
+# Another valid value of every field that some subcommand and choice leave
+# unread; experiment, seed and outdir are read by each of them.
+CHANGED = dict(solver="aiht_batched", k_list=[4], trials=2, s_count=40, dim=3, n_data=25,
+               basis_scales=[0.7], per_scale_count=3, csv_path="elsewhere.csv",
+               csv_kind="poisson", max_iters=60, rel_tol=1e-3, batch_fraction=0.5,
+               vanilla_step=1.0, record_timing=True, rip_budget=5, near_orthonormal=True)
+RUNS = {"gen-data": run_gen_data, "build": run_build, "sweep": run_sweep}
+
+
+def test_each_choice_names_the_fields_only_it_reads(tmp_path):
+    for table in (cli.EXPERIMENTS, cli.SOLVERS):
+        assert set().union(*table.values()) <= set(CHANGED)
+        # A field every choice reads is read whatever the choice: no row names it.
+        assert not frozenset.intersection(*table.values())
+    counts = {command: {} for command in RUNS}
+    for experiment, solver in PAIRS:
+        cfg = ExperimentConfig.from_dict(choice_payload(experiment, solver, "d.csv", tmp_path))
+        for command in RUNS:
+            reads = cli._reads(cfg, command)
+            assert reads <= cli._READS[command]
+            counts[command][experiment, solver] = len(reads)
+    assert {command: (min(c.values()), max(c.values())) for command, c in counts.items()} == {
+        "gen-data": (5, 6), "build": (8, 13), "sweep": (9, 14)}
+    # The benchmark's workloads: gaussian-paper, logistic-wide, radial-basis.
+    assert [counts["sweep"][e, "aiht"] for e in ("gaussian", "logistic", "radial_basis")] == [
+        12, 12, 13]
+    cfg = ExperimentConfig.from_dict(choice_payload("radial_basis", "uniform", "d.csv", tmp_path))
+    assert cli._reads(cfg, "theory-check") == cli._READS["theory-check"]
+
+
+def output_bytes(outdir) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(Path(outdir).iterdir())}
+
+
+CHOICE_RUNS = [("gen-data", experiment, "aiht") for experiment in cli.EXPERIMENTS] + [
+    (command, experiment, solver) for command in ("build", "sweep")
+    for experiment, solver in PAIRS]
+
+
+@pytest.mark.parametrize("command,experiment,solver", CHOICE_RUNS,
+                         ids=[" ".join(run) for run in CHOICE_RUNS])
+def test_fields_outside_the_read_set_change_no_output(dataset_csv, tmp_path, command,
+                                                      experiment, solver):
+    # The table against the code: every field outside the read set takes
+    # another valid value, and every output keeps its bytes, recorded config
+    # included, which holds the read fields only.
+    outdir = tmp_path / "out"
+    payload = choice_payload(experiment, solver, dataset_csv, outdir)
+    cfg = ExperimentConfig.from_dict(payload)
+    reads = cli._reads(cfg, command)
+    RUNS[command](cfg)
+    first = output_bytes(outdir)
+    for name, text in first.items():
+        if name.endswith(".json"):
+            assert set(json.loads(text)["config"]) == reads, name
+        elif command == "sweep":
+            assert set(json.loads(text.decode().splitlines()[0][len("# config="):])) == reads
+    changed = {name: value for name, value in CHANGED.items() if name not in reads}
+    assert changed
+    RUNS[command](ExperimentConfig.from_dict({**payload, **changed}))
+    assert output_bytes(outdir) == first
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["sweep", "--experiment", "gaussian", "--solver", "aiht", "--step", "5",
+      "--batch-fraction", "0.5"], {},
+     "sweep with experiment gaussian and solver aiht does not read config fields "
+     "['batch_fraction', 'vanilla_step']"),
+    (["sweep", "--experiment", "radial_basis", "--solver", "uniform", "--dim", "9",
+      "--s-count", "3", "--rel-tol", "7"], {},
+     "sweep with experiment radial_basis and solver uniform does not read config fields "
+     "['dim', 'rel_tol', 's_count']"),
+    (["build", "--solver", "uniform", "--k", "3"],
+     {"experiment": "csv", "csv_path": "d.csv", "csv_kind": "logistic", "n_data": 20},
+     "build with experiment csv and solver uniform does not read config fields "
+     "['n_data']"),
+    (["gen-data", "--experiment", "radial_basis", "--dim", "3"], {"per_scale_count": 2},
+     "gen-data with experiment radial_basis does not read config fields ['dim']"),
+], ids=["sweep_step_and_batch_fraction", "sweep_radial_basis_uniform", "build_csv_n_data",
+        "gen_data_radial_basis_dim"])
+def test_field_the_choice_does_not_read_is_refused(tmp_path, capsys, argv, config, message):
+    # A setting the chosen experiment or solver never reads would be
+    # recorded in the output as if it had been used.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    assert main([*argv, "--config", str(cfg_file), "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_evaluate_drops_recorded_fields_its_input_never_read(tmp_path, capsys,
+                                                             logistic_build):
+    # Outputs written before recorded configs were cut to the read set carry
+    # such fields, so evaluate drops them rather than refusing the file.
+    payload = json.loads(logistic_build.read_text())
+    recorded = payload["config"]
+    payload["config"] = {**recorded, "rip_budget": 5, "near_orthonormal": True,
+                         "batch_fraction": 0.5, "csv_kind": "poisson"}
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload))
+    assert main(["evaluate", "--weights", str(edited), "--outdir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    metrics = json.loads((tmp_path / "out" / "edited_metrics.json").read_text())
+    assert metrics["config"] == recorded
+    assert metrics["metrics"] == payload["metrics"]
+
+
+def test_typed_fit_error_of_a_sweep_exits_one_without_a_traceback(tmp_path, capsys):
+    # The full-data fit runs outside each run's own error record; features
+    # of +-1e100 leave the logistic Newton fit no acceptable step.
+    data_path = tmp_path / "big.csv"
+    data_path.write_text("x0,y\n" + "".join(f"{sign}1e100,{label}\n" for sign, label in (
+        ("", 1), ("-", -1), ("", -1), ("-", 1), ("", 1), ("-", -1))))
+    assert main(["sweep", "--experiment", "csv", "--csv-path", str(data_path),
+                 "--csv-kind", "logistic", "--k", "2", "--s-count", "20",
+                 "--outdir", str(tmp_path / "out"), "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NewtonConvergenceError: Newton did not converge")
+    assert captured.err.count("\n") == 1
+
+
+def test_typed_fit_error_of_evaluate_exits_one_without_a_traceback(tmp_path, capsys,
+                                                                   logistic_build):
+    # A weight of 1e300 passes evaluate's finite, non-negative check, and the
+    # coreset fit's negative Hessian is then no longer positive definite.
+    payload = json.loads(logistic_build.read_text())
+    payload["values"][0] = 1e300
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(payload))
+    assert main(["evaluate", "--weights", str(huge), "--outdir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: CurvatureError: negative Hessian of the log joint is not "
+                            "positive definite\n")
+    assert not (tmp_path / "out").exists()
 
 
 def run_python(code, cwd=None):
