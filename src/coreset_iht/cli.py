@@ -144,7 +144,9 @@ class ExperimentConfig:
         if self.experiment == "csv" and self.csv_kind not in MODEL_KINDS:
             raise ValueError(f"csv experiment needs csv_kind in {MODEL_KINDS}, "
                              f"got {self.csv_kind!r}")
-        _solver_config(self, self.k_list[0], 0)  # rejects bad solver settings before any run
+        _solver_config(self, self.k_list[0])  # rejects bad solver settings before any run
+        if not 0 < self.batch_fraction <= 1:
+            raise ValueError(f"batch_fraction must be in (0, 1], got {self.batch_fraction}")
         if self.solver == "vanilla" and not 0 < self.vanilla_step < np.inf:
             raise ValueError("vanilla solver needs vanilla_step > 0 and finite")
 
@@ -176,17 +178,11 @@ def _model_for_trial(cfg: ExperimentConfig, trial: int) -> BayesianModel:
                                         cfg.per_scale_count, seed)
     if cfg.experiment in ("logistic", "poisson"):
         return synth_glm_dataset(cfg.experiment, cfg.n_data, cfg.dim, seed)
-    return standard_model(cfg.csv_kind, load_csv_dataset(cfg.csv_path, cfg.csv_kind))
+    return standard_model(cfg.csv_kind, load_csv_dataset(cfg.csv_path))
 
 
-def _solver_config(cfg: ExperimentConfig, k: int, trial: int) -> SolverConfig:
-    return SolverConfig(
-        k=k,
-        max_iters=cfg.max_iters or None,
-        rel_tol=cfg.rel_tol,
-        batch_fraction=cfg.batch_fraction,
-        rng_seed=cfg.seed + trial,
-    )
+def _solver_config(cfg: ExperimentConfig, k: int) -> SolverConfig:
+    return SolverConfig(k=k, max_iters=cfg.max_iters or None, rel_tol=cfg.rel_tol)
 
 
 def _construct_coreset(cfg: ExperimentConfig, problem, n: int, k: int, trial: int):
@@ -196,7 +192,7 @@ def _construct_coreset(cfg: ExperimentConfig, problem, n: int, k: int, trial: in
         t0 = time.perf_counter_ns()
         weights = uniform_coreset(n, k, (cfg.seed, trial, 2, k))
         return weights, None, time.perf_counter_ns() - t0
-    scfg = _solver_config(cfg, k, trial)
+    scfg = _solver_config(cfg, k)
     t0 = time.perf_counter_ns()
     if cfg.solver == "vanilla":
         weights, trace = solve_vanilla_iht(problem, scfg, cfg.vanilla_step)
@@ -205,7 +201,7 @@ def _construct_coreset(cfg: ExperimentConfig, problem, n: int, k: int, trial: in
     elif cfg.solver == "aiht_debias":
         weights, trace = solve_aiht_debias(problem, scfg)
     else:
-        weights, trace = solve_aiht_batched(problem, scfg)
+        weights, trace = solve_aiht_batched(problem, scfg, cfg.batch_fraction, cfg.seed + trial)
     elapsed = time.perf_counter_ns() - t0
     return weights, trace, elapsed
 
@@ -360,7 +356,7 @@ def run_theory_check(cfg: ExperimentConfig) -> tuple[Path, bool]:
         cfg.n_data, cfg.s_count, k, cfg.seed, near_orthonormal=cfg.near_orthonormal)
     rip = estimate_rip(problem, isometry_levels(k, problem.n), budget=cfg.rip_budget)
     w_star, f_star = brute_force_optimum(problem, k, budget=cfg.rip_budget)
-    report = check_iterative_invariant(problem, _solver_config(cfg, k, 0), w_star, rip)
+    report = check_iterative_invariant(problem, _solver_config(cfg, k), w_star, rip)
     payload = {
         "config": _recorded(cfg, "theory-check"),
         "seed": cfg.seed,

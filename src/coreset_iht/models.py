@@ -242,7 +242,10 @@ def _validate_labels(kind: str, y: np.ndarray) -> None:
 class BayesianModel:
     """A model kind, its data, a Gaussian prior, and kind-specific parameters.
 
-    The prior precision, and for Poisson models log y_i!, are derived once.
+    ``noise_var`` is read by linear_regression models only and ``obs_cov``
+    by gaussian_mean models only; a model of another kind refuses either.
+    The targets are checked against the kind's label domain. The prior
+    precision, and for Poisson models log y_i!, are derived once.
     """
 
     kind: str
@@ -258,6 +261,10 @@ class BayesianModel:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         _validate_labels(self.kind, self.dataset.y)
+        for name, reader in (("noise_var", "linear_regression"), ("obs_cov", "gaussian_mean")):
+            if getattr(self, name) is not None and self.kind != reader:
+                raise ValueError(f"{name} is a {reader} parameter; a {self.kind} model "
+                                 "does not read it")
         if self.kind == "gaussian_mean":
             obs_cov = self.obs_cov if self.obs_cov is not None else np.eye(self.dataset.d)
             obs_cov = np.asarray(obs_cov, dtype=np.float64)
@@ -390,15 +397,17 @@ class BayesianModel:
             grad += x.T @ (w * resid) / self.noise_var
             neg_hess += (x.T * w) @ x / self.noise_var
         else:
-            z = _with_intercept(x)
-            t = z @ theta
-            s = _expit(t)
-            if self.kind == "logistic":
-                grad += z.T @ (w * y * _expit(-y * t))
-                neg_hess += (z.T * (w * s * (1.0 - s))) @ z
-            else:
-                lam = _softplus(t, np.empty_like(t))  # t is not read again
-                with np.errstate(divide="ignore", invalid="ignore"):
+            # As in _log_likelihoods, overflow gives a non-finite value, not a
+            # warning, so the fit's own checks end it with a typed error.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                z = _with_intercept(x)
+                t = z @ theta
+                s = _expit(t)
+                if self.kind == "logistic":
+                    grad += z.T @ (w * y * _expit(-y * t))
+                    neg_hess += (z.T * (w * s * (1.0 - s))) @ z
+                else:
+                    lam = _softplus(t, np.empty_like(t))  # t is not read again
                     grad += z.T @ (w * (y * s / lam - s))
                     # -d2L/dt2 = s(1-s) - y (s(1-s) lam - s^2)/lam^2, >= 0 for y >= 0
                     curv = s * (1.0 - s) - y * (s * (1.0 - s) * lam - s * s) / lam ** 2
@@ -779,14 +788,13 @@ def synth_glm_dataset(kind: str, n: int, d: Optional[int] = None, seed=0) -> Bay
 
 # -- CSV ingestion ---------------------------------------------------------
 
-def load_csv_dataset(path, kind: str) -> Dataset:
+def load_csv_dataset(path) -> Dataset:
     """Parse a dataset CSV: header row, feature columns, target last.
 
     UTF-8, '.' decimal separator. Raises on malformed rows (with the line
-    number) and on targets outside the model kind's label domain.
+    number). The targets are checked against a model kind's label domain
+    when a ``BayesianModel`` is made of the dataset.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -807,9 +815,7 @@ def load_csv_dataset(path, kind: str) -> Dataset:
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
     data = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
-    x, y = data[:, :-1], data[:, -1]
-    _validate_labels(kind, y)
-    return Dataset(x, y)
+    return Dataset(data[:, :-1], data[:, -1])
 
 
 def save_csv_dataset(path, dataset: Dataset) -> None:

@@ -106,18 +106,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shared solver knobs.
+    """The settings every solver reads: the sparsity k, the iteration cap and
+    the ``rel_tol`` stopping test.
 
-    ``max_iters=None`` selects the per-solver default (300, or 500 for the
-    batched solver). ``rng_seed`` only matters for the batched solver, which
-    re-draws its gradient masks every iteration.
+    ``max_iters=None`` selects the solver's own default cap
+    (``DEFAULT_MAX_ITERS``, or ``DEFAULT_MAX_ITERS_BATCHED`` for the batched
+    solver). A setting only one solver reads is that solver's argument: the
+    vanilla step, and the batched solver's batch fraction and seed.
     """
 
     k: int
     max_iters: Optional[int] = None
     rel_tol: float = 1e-5
-    batch_fraction: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
@@ -126,13 +126,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not 0 < self.batch_fraction <= 1:
-            raise ValueError(f"batch_fraction must be in (0, 1], got {self.batch_fraction}")
-
-    def effective_max_iters(self, batched: bool = False) -> int:
-        if self.max_iters is not None:
-            return self.max_iters
-        return DEFAULT_MAX_ITERS_BATCHED if batched else DEFAULT_MAX_ITERS
 
 
 TRACE_FIELDS = ("iter", "f", "mu", "tau", "support", "ns")
@@ -328,7 +321,7 @@ def solve_vanilla_iht(problem: SparseRegressionProblem, cfg: SolverConfig,
         raise ValueError(f"step must be > 0 and finite, got {step}")
     if cfg.k > problem.n:
         raise ValueError(f"k={cfg.k} exceeds problem size n={problem.n}")
-    max_iters = cfg.effective_max_iters()
+    max_iters = cfg.max_iters or DEFAULT_MAX_ITERS
     w = np.zeros(problem.n)
     records = []
     termination = Termination.MAX_ITERS
@@ -508,7 +501,7 @@ def solve_aiht(problem: SparseRegressionProblem, cfg: SolverConfig,
     the theory checker and the line-search certificates).
     """
     return _accelerated_iht(problem, cfg, debias=False,
-                            max_iters=cfg.effective_max_iters(), capture=capture)
+                            max_iters=cfg.max_iters or DEFAULT_MAX_ITERS, capture=capture)
 
 
 def solve_aiht_debias(problem: SparseRegressionProblem, cfg: SolverConfig,
@@ -522,16 +515,17 @@ def solve_aiht_debias(problem: SparseRegressionProblem, cfg: SolverConfig,
     for that iteration.
     """
     return _accelerated_iht(problem, cfg, debias=True,
-                            max_iters=cfg.effective_max_iters(), capture=capture)
+                            max_iters=cfg.max_iters or DEFAULT_MAX_ITERS, capture=capture)
 
 
 def solve_aiht_batched(problem: SparseRegressionProblem, cfg: SolverConfig,
-                       capture: Optional[list] = None):
+                       batch_fraction: float, seed, capture: Optional[list] = None):
     """Accelerated IHT with the stochastic gradient estimator.
 
-    Gradient calls are replaced by ``stochastic_gradient`` with fresh masks
-    every call, seeded by ``cfg.rng_seed``. The default iteration cap rises
-    to 500.
+    Gradient calls are replaced by ``stochastic_gradient`` on batches of
+    ``batch_fraction`` of the n coordinates, with fresh masks every call
+    drawn from ``np.random.default_rng(seed)``. ``batch_fraction`` must be
+    in (0, 1]. The default iteration cap is ``DEFAULT_MAX_ITERS_BATCHED``.
 
     A stochastic direction need not be the restricted gradient, so the step
     is the exact minimizer of the objective along it (``step_along``),
@@ -543,10 +537,12 @@ def solve_aiht_batched(problem: SparseRegressionProblem, cfg: SolverConfig,
     be the identity, so no estimator is drawn: the solve runs on the exact
     gradient and its trace matches ``solve_aiht`` exactly.
     """
+    if not 0 < batch_fraction <= 1:
+        raise ValueError(f"batch_fraction must be in (0, 1], got {batch_fraction}")
     gradient_fn = None
-    if cfg.batch_fraction < 1.0:
-        gradient_fn = partial(stochastic_gradient, problem, batch_fraction=cfg.batch_fraction,
-                              rng=np.random.default_rng(cfg.rng_seed))
+    if batch_fraction < 1.0:
+        gradient_fn = partial(stochastic_gradient, problem, batch_fraction=batch_fraction,
+                              rng=np.random.default_rng(seed))
     return _accelerated_iht(problem, cfg, debias=False,
-                            max_iters=cfg.effective_max_iters(batched=True),
+                            max_iters=cfg.max_iters or DEFAULT_MAX_ITERS_BATCHED,
                             gradient_fn=gradient_fn, capture=capture)

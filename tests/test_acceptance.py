@@ -322,9 +322,8 @@ def test_criterion_9_stochastic_gradient():
     for seed in range(10):
         recovery, _ = make_planted_problem(20, 40, 3, seed=(4, seed))
         _, full_trace = solve_aiht(recovery, SolverConfig(k=3, rel_tol=1e-12, max_iters=300))
-        cfg = SolverConfig(k=3, batch_fraction=0.2, max_iters=500, rng_seed=seed,
-                           rel_tol=1e-12)
-        _, batched_trace = solve_aiht_batched(recovery, cfg)
+        cfg = SolverConfig(k=3, max_iters=500, rel_tol=1e-12)
+        _, batched_trace = solve_aiht_batched(recovery, cfg, batch_fraction=0.2, seed=seed)
         ratios.append(batched_trace.records[-1].f / full_trace.records[-1].f)
     median_ratio = float(np.median(ratios))
     within = median_ratio <= 10.0

@@ -400,7 +400,7 @@ class TestDataAndBuild:
     def test_gen_data_round_trip(self, tmp_path):
         cfg = tiny_config(tmp_path, experiment="logistic", dim=2, n_data=15)
         path = run_gen_data(cfg)
-        ds = load_csv_dataset(path, "logistic")
+        ds = load_csv_dataset(path)
         assert ds.n == 15 and ds.d == 2
 
     def test_builds_of_two_experiments_share_an_outdir(self, tmp_path):
@@ -954,19 +954,42 @@ def test_evaluate_drops_recorded_fields_its_input_never_read(tmp_path, capsys,
     assert metrics["metrics"] == payload["metrics"]
 
 
-def test_typed_fit_error_of_a_sweep_exits_one_without_a_traceback(tmp_path, capsys):
+@pytest.mark.parametrize("magnitude", ["1e100", "1e200"])
+@pytest.mark.parametrize("kind,labels", [("logistic", (1, -1, -1, 1, 1, -1)),
+                                         ("poisson", (1, 0, 2, 0, 1, 3))],
+                         ids=["logistic", "poisson"])
+def test_typed_fit_error_of_a_sweep_exits_one_without_a_traceback(tmp_path, capsys, kind,
+                                                                  labels, magnitude):
     # The full-data fit runs outside each run's own error record; features
-    # of +-1e100 leave the logistic Newton fit no acceptable step.
+    # of +-1e100 leave the Newton fit no acceptable step, and at +-1e200 its
+    # gradient and Hessian products overflow, which must reach the fit's own
+    # checks rather than stop the sweep with a RuntimeWarning.
     data_path = tmp_path / "big.csv"
-    data_path.write_text("x0,y\n" + "".join(f"{sign}1e100,{label}\n" for sign, label in (
-        ("", 1), ("-", -1), ("", -1), ("-", 1), ("", 1), ("-", -1))))
+    data_path.write_text("x0,y\n" + "".join(
+        f"{sign}{magnitude},{label}\n" for sign, label in zip(["", "-"] * 3, labels)))
     assert main(["sweep", "--experiment", "csv", "--csv-path", str(data_path),
-                 "--csv-kind", "logistic", "--k", "2", "--s-count", "20",
+                 "--csv-kind", kind, "--k", "2", "--s-count", "20",
                  "--outdir", str(tmp_path / "out"), "--no-timing"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: NewtonConvergenceError: Newton did not converge")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["gen-data"], ["sweep", "--k", "1", "--s-count", "20"]],
+                         ids=["gen-data", "sweep"])
+def test_csv_label_outside_the_kind_exits_one(tmp_path, capsys, command):
+    # The loader reads any numeric target; the model made of the CSV refuses
+    # a label outside its kind's domain before anything is written.
+    data_path = tmp_path / "bad.csv"
+    data_path.write_text("x0,y\n0.5,1\n-0.5,2\n")
+    outdir = tmp_path / "out"
+    assert main([*command, "--experiment", "csv", "--csv-path", str(data_path),
+                 "--csv-kind", "logistic", "--outdir", str(outdir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: logistic labels must be in {-1, +1}\n"
+    assert not any(outdir.iterdir())
 
 
 def test_typed_fit_error_of_evaluate_exits_one_without_a_traceback(tmp_path, capsys,

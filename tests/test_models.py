@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from coreset_iht import (
     synth_radial_basis_model,
 )
 from coreset_iht import models
-from coreset_iht.models import CONJUGATE_KINDS, MODEL_KINDS
+from coreset_iht.models import CONJUGATE_KINDS, MODEL_KINDS, standard_model
 from conftest import radial_basis_prior_and_posterior
 
 EPS = np.finfo(float).eps
@@ -184,6 +185,18 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             BayesianModel(kind="linear_regression", dataset=Dataset([[1.0]], [0.5]),
                           prior=prior)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_parameter_of_another_kind_refused(self, kind):
+        # noise_var is read only by linear_regression and obs_cov only by
+        # gaussian_mean; a model of any other kind refuses it.
+        model = standard_model(kind, Dataset([[0.5], [1.0]], [1.0, 1.0]))
+        for name, value, reader in (("noise_var", 0.5, "linear_regression"),
+                                    ("obs_cov", np.eye(1), "gaussian_mean")):
+            if kind != reader:
+                with pytest.raises(ValueError, match=f"^{name} is a {reader} parameter; "
+                                                     f"a {kind} model does not read it$"):
+                    replace(model, **{name: value})
 
     @pytest.mark.parametrize("cov,message", [
         ([[1.0, 0.9], [0.0, 1.0]], "is not symmetric"),
@@ -1006,33 +1019,42 @@ class TestCsvRoundTrip:
     def test_three_row_fixture(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x0,x1,target\n1.0,2.0,1\n-0.5,0.25,-1\n0.0,1.5,1\n")
-        ds = load_csv_dataset(path, "logistic")
+        ds = load_csv_dataset(path)
         assert ds.n == 3 and ds.d == 2
         assert ds.y.tolist() == [1.0, -1.0, 1.0]
 
     def test_logistic_label_two_rejected(self, tmp_path):
+        # The loader reads any numeric target; the model made of the data
+        # checks it against the kind's label domain.
         path = tmp_path / "bad.csv"
         path.write_text("x0,target\n1.0,2\n")
-        with pytest.raises(ValueError):
-            load_csv_dataset(path, "logistic")
+        assert load_csv_dataset(path).y.tolist() == [2.0]
+        with pytest.raises(ValueError, match=r"^logistic labels must be in \{-1, \+1\}$"):
+            standard_model("logistic", load_csv_dataset(path))
+
+    def test_poisson_negative_target_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,target\n1.0,-1\n")
+        with pytest.raises(ValueError, match="^poisson targets must be non-negative integers$"):
+            standard_model("poisson", load_csv_dataset(path))
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,target\n1.0,1\n1.0\n")
         with pytest.raises(ValueError, match="line 3"):
-            load_csv_dataset(path, "poisson")
+            load_csv_dataset(path)
 
     def test_non_numeric_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,target\noops,1\n")
         with pytest.raises(ValueError, match="line 2"):
-            load_csv_dataset(path, "logistic")
+            load_csv_dataset(path)
 
     def test_write_read_identity(self, tmp_path):
         rng = np.random.default_rng(10)
         ds = Dataset(rng.standard_normal((6, 3)), rng.standard_normal(6))
         path = tmp_path / "round.csv"
         save_csv_dataset(path, ds)
-        back = load_csv_dataset(path, "linear_regression")
+        back = load_csv_dataset(path)
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.y, ds.y)

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -63,14 +64,30 @@ class TestSolverConfig:
             SolverConfig(k=1, max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(k=1, rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(k=1, batch_fraction=0.0)
+
+    @pytest.mark.parametrize("field", [{"batch_fraction": 0.5}, {"rng_seed": 1}],
+                             ids=["batch_fraction", "rng_seed"])
+    def test_batched_settings_are_not_fields(self, field):
+        # Only the batched solver reads them, so they are its arguments.
+        with pytest.raises(TypeError):
+            SolverConfig(k=1, **field)
 
     def test_default_iteration_caps(self):
-        cfg = SolverConfig(k=1)
-        assert cfg.effective_max_iters() == 300
-        assert cfg.effective_max_iters(batched=True) == 500
-        assert SolverConfig(k=1, max_iters=7).effective_max_iters(batched=True) == 7
+        # A tall phi of condition number 1e6: no solver meets rel_tol 1e-15
+        # within its cap, so each runs to its own default, or to max_iters.
+        rng = np.random.default_rng(0)
+        u = np.linalg.qr(rng.standard_normal((20, 10)))[0]
+        v = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+        problem = SparseRegressionProblem.from_columns(u @ np.diag(np.logspace(0, -6, 10)) @ v.T)
+        solves = {"vanilla": partial(solve_vanilla_iht, step=0.1), "aiht": solve_aiht,
+                  "aiht_debias": solve_aiht_debias,
+                  "aiht_batched": partial(solve_aiht_batched, batch_fraction=0.5, seed=0)}
+        for name, solve in solves.items():
+            cap = 500 if name == "aiht_batched" else 300
+            _, trace = solve(problem, SolverConfig(k=5, rel_tol=1e-15))
+            assert (len(trace), trace.termination) == (cap, Termination.MAX_ITERS), name
+            _, trace = solve(problem, SolverConfig(k=5, max_iters=7, rel_tol=1e-15))
+            assert (len(trace), trace.termination) == (7, Termination.MAX_ITERS), name
 
 
 class TestLineSearch:
@@ -273,7 +290,7 @@ class TestAiht:
     def test_deterministic_traces(self):
         rng = np.random.default_rng(7)
         problem = random_problem(rng, 10, 8, y_scale=3.0)
-        cfg = SolverConfig(k=3, rng_seed=11)
+        cfg = SolverConfig(k=3)
         _, t1 = solve_aiht(problem, cfg)
         _, t2 = solve_aiht(problem, cfg)
         assert json.dumps(t1.with_zeroed_time().to_dict()) == json.dumps(t2.with_zeroed_time().to_dict())
@@ -384,8 +401,8 @@ class TestAihtBatched:
     def test_full_batch_trace_identical_to_exact(self):
         rng = np.random.default_rng(12)
         problem = random_problem(rng, 10, 8, y_scale=3.0)
-        cfg = SolverConfig(k=3, batch_fraction=1.0, rng_seed=5, max_iters=300)
-        _, batched = solve_aiht_batched(problem, cfg)
+        cfg = SolverConfig(k=3, max_iters=300)
+        _, batched = solve_aiht_batched(problem, cfg, batch_fraction=1.0, seed=5)
         _, exact = solve_aiht(problem, cfg)
         assert (json.dumps(batched.with_zeroed_time().to_dict())
                 == json.dumps(exact.with_zeroed_time().to_dict()))
@@ -393,8 +410,7 @@ class TestAihtBatched:
     def test_tiny_batch_runs_to_termination(self):
         rng = np.random.default_rng(13)
         problem = random_problem(rng, 6, 5, y_scale=2.0)
-        cfg = SolverConfig(k=2, batch_fraction=0.2, rng_seed=3)
-        w, trace = solve_aiht_batched(problem, cfg)
+        w, trace = solve_aiht_batched(problem, SolverConfig(k=2), batch_fraction=0.2, seed=3)
         assert w.sparsity <= 2 and np.all(w.w >= 0)
         assert trace.termination in (Termination.CONVERGED, Termination.MAX_ITERS,
                                      Termination.STALLED)
@@ -405,7 +421,7 @@ class TestAihtBatched:
         # against f(0) = 3.2e3.
         problem, _ = make_planted_problem(20, 40, 3, seed=(4, 0))
         capture = []
-        _, trace = solve_aiht_batched(problem, SolverConfig(k=3, batch_fraction=0.2),
+        _, trace = solve_aiht_batched(problem, SolverConfig(k=3), batch_fraction=0.2, seed=0,
                                       capture=capture)
         assert trace.termination is Termination.CONVERGED
         assert trace.records[-1].f < objective(problem, np.zeros(problem.n))
@@ -415,7 +431,7 @@ class TestAihtBatched:
     def test_stochastic_step_never_raises_objective(self):
         problem, _ = make_planted_problem(20, 40, 3, seed=(4, 1))
         capture = []
-        solve_aiht_batched(problem, SolverConfig(k=3, batch_fraction=0.2, rng_seed=1),
+        solve_aiht_batched(problem, SolverConfig(k=3), batch_fraction=0.2, seed=1,
                            capture=capture)
         for c in capture:
             mu, d = c["mu"], c["grad_restricted"]
@@ -425,10 +441,17 @@ class TestAihtBatched:
     def test_batched_seed_reproducible(self):
         rng = np.random.default_rng(14)
         problem = random_problem(rng, 8, 6, y_scale=2.0)
-        cfg = SolverConfig(k=2, batch_fraction=0.5, rng_seed=9, max_iters=50)
-        _, t1 = solve_aiht_batched(problem, cfg)
-        _, t2 = solve_aiht_batched(problem, cfg)
+        cfg = SolverConfig(k=2, max_iters=50)
+        _, t1 = solve_aiht_batched(problem, cfg, batch_fraction=0.5, seed=9)
+        _, t2 = solve_aiht_batched(problem, cfg, batch_fraction=0.5, seed=9)
         assert json.dumps(t1.with_zeroed_time().to_dict()) == json.dumps(t2.with_zeroed_time().to_dict())
+
+    @pytest.mark.parametrize("batch_fraction", [0.0, 1.5, float("nan")])
+    def test_batch_fraction_outside_unit_interval_refused(self, batch_fraction):
+        # Above 1 would otherwise take the exact path without a word.
+        problem = random_problem(np.random.default_rng(14), 8, 6, y_scale=2.0)
+        with pytest.raises(ValueError, match=r"^batch_fraction must be in \(0, 1\], got "):
+            solve_aiht_batched(problem, SolverConfig(k=2), batch_fraction=batch_fraction, seed=0)
 
 
 class TestStepAlong:
@@ -528,7 +551,10 @@ class TestNonFiniteStep:
                 solver(problem, SolverConfig(k=1, max_iters=5))
             assert err.value.iteration == 0
 
-    @pytest.mark.parametrize("solver", [solve_aiht, solve_aiht_debias, solve_aiht_batched])
+    @pytest.mark.parametrize("solver", [
+        solve_aiht, solve_aiht_debias,
+        pytest.param(partial(solve_aiht_batched, batch_fraction=1.0, seed=0),
+                     id="solve_aiht_batched")])
     def test_overflowing_objective_is_divergence(self, solver):
         # y is finite, but ||y - phi w||^2 overflows at the first iterate; the
         # kernel stops there instead of carrying an infinite objective on.
@@ -538,20 +564,23 @@ class TestNonFiniteStep:
         assert err.value.iteration == 0
 
 
-def reference_accelerated_iht(problem, cfg, *, debias, batched=False):
+def reference_accelerated_iht(problem, cfg, *, debias, batch_fraction=None, seed=None):
     """The accelerated-IHT loop written with the public helpers and a dense
-    scan for every support: the kernel must match it bit for bit."""
-    rng = np.random.default_rng(cfg.rng_seed)
-    stochastic = batched and cfg.batch_fraction < 1.0
+    scan for every support: the kernel must match it bit for bit. A
+    ``batch_fraction`` makes it the batched solver's loop, its masks drawn
+    from ``seed``."""
+    batched = batch_fraction is not None
+    rng = np.random.default_rng(seed)
+    stochastic = batched and batch_fraction < 1.0
     n = problem.n
     w = np.zeros(n)
     z = np.zeros(n)
     records, capture = [], []
     termination = Termination.MAX_ITERS
     stall_run = 0
-    for t in range(cfg.effective_max_iters(batched=batched)):
+    for t in range(cfg.max_iters or (500 if batched else 300)):
         if batched:  # until a stochastic run switches to the exact gradient
-            grad = stochastic_gradient(problem, z, cfg.batch_fraction, rng)
+            grad = stochastic_gradient(problem, z, batch_fraction, rng)
         else:
             grad = gradient(problem, z)
         z_support = np.flatnonzero(z)
@@ -630,16 +659,16 @@ class TestKernelMatchesReference:
                 rng.integers(-1, 2, size=(s_dim, n)).astype(np.float64))
         else:
             problem = random_problem(rng, s_dim, n, y_scale=3.0)
-        batch_fraction = 0.2 if variant == "batched_0.2" else 1.0
-        cfg = SolverConfig(k=k, max_iters=120, rel_tol=1e-10,
-                           batch_fraction=batch_fraction, rng_seed=4)
+        cfg = SolverConfig(k=k, max_iters=120, rel_tol=1e-10)
         debias = variant == "aiht_debias"
-        batched = variant.startswith("batched")
-        solver = solve_aiht_debias if debias else solve_aiht_batched if batched else solve_aiht
+        batch = {}
+        if variant.startswith("batched"):
+            batch = {"batch_fraction": 0.2 if variant == "batched_0.2" else 1.0, "seed": 4}
+        solver = solve_aiht_debias if debias else solve_aiht_batched if batch else solve_aiht
         capture = []
-        w, trace = solver(problem, cfg, capture=capture)
+        w, trace = solver(problem, cfg, capture=capture, **batch)
         ref_w, ref_records, ref_termination, ref_capture = reference_accelerated_iht(
-            problem, cfg, debias=debias, batched=batched)
+            problem, cfg, debias=debias, **batch)
 
         assert len(trace) > 3
         assert trace.with_zeroed_time().records == ref_records
@@ -669,7 +698,10 @@ class TestKernelMatchesReference:
                 return np.count_nonzero(magnitude >= np.sort(magnitude)[-k]) > k
             assert any(tied_at_kth(c) for c in capture)
 
-    @pytest.mark.parametrize("solver", [solve_aiht, solve_aiht_debias, solve_aiht_batched])
+    @pytest.mark.parametrize("solver", [
+        solve_aiht, solve_aiht_debias,
+        pytest.param(partial(solve_aiht_batched, batch_fraction=0.5, seed=0),
+                     id="solve_aiht_batched")])
     def test_one_weight_vector_per_solve(self, solver, monkeypatch):
         made = []
         post_init = problem_module.WeightVector.__post_init__
@@ -680,12 +712,15 @@ class TestKernelMatchesReference:
 
         monkeypatch.setattr(problem_module.WeightVector, "__post_init__", counting)
         problem = random_problem(np.random.default_rng(22), 30, 400, y_scale=3.0)
-        cfg = SolverConfig(k=5, max_iters=30, batch_fraction=0.5)
+        cfg = SolverConfig(k=5, max_iters=30)
         _, trace = solver(problem, cfg)
         assert len(trace) > 3
         assert len(made) == 1
 
-    @pytest.mark.parametrize("solver", [solve_aiht, solve_aiht_debias, solve_aiht_batched])
+    @pytest.mark.parametrize("solver", [
+        solve_aiht, solve_aiht_debias,
+        pytest.param(partial(solve_aiht_batched, batch_fraction=0.5, seed=0),
+                     id="solve_aiht_batched")])
     def test_no_union1d_per_solve(self, solver, monkeypatch):
         calls = []
         union1d = np.union1d
@@ -696,7 +731,7 @@ class TestKernelMatchesReference:
 
         monkeypatch.setattr(np, "union1d", counting)
         problem = random_problem(np.random.default_rng(22), 30, 400, y_scale=3.0)
-        cfg = SolverConfig(k=5, max_iters=30, batch_fraction=0.5)
+        cfg = SolverConfig(k=5, max_iters=30)
         _, trace = solver(problem, cfg)
         assert len(trace) > 3
         assert not calls
