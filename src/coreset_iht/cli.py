@@ -20,6 +20,7 @@ import numpy as np
 
 from .baselines import uniform_coreset
 from .evaluation import (
+    DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetError,
     NegativeKlError,
     brute_force_optimum,
@@ -57,10 +58,11 @@ from .solvers import (
 
 # Each experiment and each solver, with those of the config fields its code
 # reads that not every choice reads. A field no row names is read whatever
-# the choice.
+# the choice. A solver that reads s_count solves on a projection; one that
+# does not (uniform) builds none.
 EXPERIMENTS = {
     "gaussian": frozenset({"dim", "n_data"}),
-    "radial_basis": frozenset({"n_data", "basis_scales", "per_scale_count"}),
+    "radial_basis": frozenset({"n_data"}),
     "logistic": frozenset({"dim", "n_data"}),
     "poisson": frozenset({"dim", "n_data"}),
     "csv": frozenset({"csv_path", "csv_kind"}),
@@ -71,7 +73,7 @@ SOLVERS = {
     "aiht": _PROJECTION_FIELDS,
     "aiht_debias": _PROJECTION_FIELDS,
     "aiht_batched": _PROJECTION_FIELDS | {"batch_fraction"},
-    "uniform": frozenset(),  # builds no projection
+    "uniform": frozenset(),
 }
 
 CSV_COLUMNS = ("experiment", "solver", "k", "trial_count",
@@ -103,16 +105,14 @@ class ExperimentConfig:
     outdir: str = "runs"
     dim: int = 2
     n_data: int = 100
-    basis_scales: list[float] = field(default_factory=lambda: [0.2, 0.4, 0.8, 1.2, 1.6, 2.0])
-    per_scale_count: int = 50
     csv_path: str = ""
     csv_kind: str = ""
     max_iters: int = 0            # 0 = solver default
-    rel_tol: float = 1e-5
+    rel_tol: float = SolverConfig.rel_tol
     batch_fraction: float = 0.2
     vanilla_step: float = 0.0     # required > 0 only for the vanilla solver
     record_timing: bool = True
-    rip_budget: int = 10 ** 6
+    rip_budget: int = DEFAULT_ENUMERATION_BUDGET
     near_orthonormal: bool = False
 
     def __post_init__(self):
@@ -134,11 +134,6 @@ class ExperimentConfig:
             raise ValueError(f"n_data must be >= 1, got {self.n_data}")
         if self.s_count < 2:
             raise ValueError(f"s_count must be >= 2, got {self.s_count}")
-        if not self.basis_scales or not all(0 < s < np.inf for s in self.basis_scales):
-            raise ValueError("basis_scales must be a non-empty list of finite widths > 0, "
-                             f"got {self.basis_scales}")
-        if self.per_scale_count < 1:
-            raise ValueError(f"per_scale_count must be >= 1, got {self.per_scale_count}")
         if self.experiment == "csv" and not self.csv_path:
             raise ValueError("csv experiment needs csv_path")
         if self.experiment == "csv" and self.csv_kind not in MODEL_KINDS:
@@ -174,8 +169,7 @@ def _model_for_trial(cfg: ExperimentConfig, trial: int) -> BayesianModel:
     if cfg.experiment == "gaussian":
         return synth_gaussian_dataset(cfg.dim, cfg.n_data, seed)
     if cfg.experiment == "radial_basis":
-        return synth_radial_basis_model(cfg.n_data, cfg.basis_scales,
-                                        cfg.per_scale_count, seed)
+        return synth_radial_basis_model(cfg.n_data, seed=seed)
     if cfg.experiment in ("logistic", "poisson"):
         return synth_glm_dataset(cfg.experiment, cfg.n_data, cfg.dim, seed)
     return standard_model(cfg.csv_kind, load_csv_dataset(cfg.csv_path))
@@ -187,8 +181,8 @@ def _solver_config(cfg: ExperimentConfig, k: int) -> SolverConfig:
 
 def _construct_coreset(cfg: ExperimentConfig, problem, n: int, k: int, trial: int):
     """Returns (weights, trace-or-None, construction time in ns); ``n`` is the
-    number of data points."""
-    if cfg.solver == "uniform":
+    number of data points. With no ``problem`` the coreset is uniform."""
+    if problem is None:
         t0 = time.perf_counter_ns()
         weights = uniform_coreset(n, k, (cfg.seed, trial, 2, k))
         return weights, None, time.perf_counter_ns() - t0
@@ -227,7 +221,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int, config: dict) -> list:
         raise ValueError(f"k values {bad} exceed data count {n}")
     pi_hat = full_data_posterior(model)
     problem = None
-    if cfg.solver != "uniform":
+    if "s_count" in SOLVERS[cfg.solver]:
         problem = build_projection(model, pi_hat, cfg.s_count, (cfg.seed, trial, 1)).to_problem()
     for k in cfg.k_list:
         run = {
@@ -249,7 +243,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int, config: dict) -> list:
             run["values"] = [float(v) for v in weights.w[weights.support]]
             if trace is not None:
                 run["termination"] = trace.termination.value
-                run["objective"] = trace.records[-1].f if trace.records else None
+                run["objective"] = trace.records[-1].f
                 run["trace"] = trace.to_dict()
         except Exception as exc:  # per-run failures recorded, sweep continues
             run["error"] = f"{type(exc).__name__}: {exc}"
@@ -456,9 +450,9 @@ def _sparsity_levels(text: str) -> list:
     return [int(v) for v in text.split(",") if v]
 
 
-# The one table of settings: each row's flag (None for a setting only a
-# config file gives), the ExperimentConfig field it sets (None for a flag
-# that is not a config field) and the subcommands whose code reads it.
+# The one table of settings: each row's flag, the ExperimentConfig field it
+# sets (None for a flag that is not a config field) and the subcommands
+# whose code reads it.
 # argparse refuses a flag, and config_from_args a config file field, on any
 # other subcommand. config_from_args also refuses a field or flag that only
 # another experiment or solver reads (EXPERIMENTS, SOLVERS), and an output
@@ -475,8 +469,6 @@ _FLAGS = (
     ("--s-count", "s_count", "build sweep theory-check", dict(type=int)),
     ("--dim", "dim", "gen-data build sweep", dict(type=int)),
     ("--n-data", "n_data", "gen-data build sweep theory-check", dict(type=int)),
-    (None, "basis_scales", "gen-data build sweep", {}),
-    (None, "per_scale_count", "gen-data build sweep", {}),
     ("--weights", None, "evaluate", dict(required=True, help="build output JSON")),
     ("--outdir", "outdir", "gen-data build sweep theory-check evaluate",
      dict(help="output directory")),
@@ -554,7 +546,7 @@ def main(argv=None) -> int:
     for command, text in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
         for flag, name, commands, options in _FLAGS:
-            if flag and command in commands.split():
+            if command in commands.split():
                 p.add_argument(flag, **({"dest": name} if name else {}), **options)
 
     args = parser.parse_args(argv)

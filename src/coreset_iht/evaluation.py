@@ -19,6 +19,9 @@ from .problem import SparseRegressionProblem, WeightVector, _as_weights
 from .solvers import SolverConfig, solve_aiht
 
 KL_DIRECTIONS = ("forward", "reverse", "symmetrized")
+# The most supports estimate_rip and brute_force_optimum enumerate unless
+# told otherwise.
+DEFAULT_ENUMERATION_BUDGET = 10 ** 6
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -122,7 +125,7 @@ class RipConstants:
 
 
 def estimate_rip(problem: SparseRegressionProblem, levels,
-                 budget: int = 10 ** 6) -> RipConstants:
+                 budget: int = DEFAULT_ENUMERATION_BUDGET) -> RipConstants:
     """Exhaustive restricted-isometry constants per sparsity level.
 
     For each s, enumerates every support of size s and takes the extreme
@@ -206,7 +209,7 @@ def nnls_on_support(phi_cols: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def brute_force_optimum(problem: SparseRegressionProblem, k: int,
-                        budget: int = 10 ** 6):
+                        budget: int = DEFAULT_ENUMERATION_BUDGET):
     """Global optimum of the k-sparse non-negative fit by support enumeration.
 
     Solves the non-negative least-squares subproblem on every size-k support

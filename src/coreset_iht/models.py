@@ -388,18 +388,18 @@ class BayesianModel:
         grad = -self.prior_prec @ diff
         neg_hess = self.prior_prec.copy()
 
-        if self.kind == "gaussian_mean":
-            w_sum = float(w.sum())
-            grad += self.obs_prec @ (x.T @ w - w_sum * theta)
-            neg_hess += w_sum * self.obs_prec
-        elif self.kind == "linear_regression":
-            resid = y - x @ theta
-            grad += x.T @ (w * resid) / self.noise_var
-            neg_hess += (x.T * w) @ x / self.noise_var
-        else:
-            # As in _log_likelihoods, overflow gives a non-finite value, not a
-            # warning, so the fit's own checks end it with a typed error.
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # As in _log_likelihoods, overflow gives a non-finite value, not a
+        # warning, so the fit's own checks end it with a typed error.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if self.kind == "gaussian_mean":
+                w_sum = float(w.sum())
+                grad += self.obs_prec @ (x.T @ w - w_sum * theta)
+                neg_hess += w_sum * self.obs_prec
+            elif self.kind == "linear_regression":
+                resid = y - x @ theta
+                grad += x.T @ (w * resid) / self.noise_var
+                neg_hess += (x.T * w) @ x / self.noise_var
+            else:
                 z = _with_intercept(x)
                 t = z @ theta
                 s = _expit(t)
@@ -621,8 +621,11 @@ def _covariance_factor(neg_hess: np.ndarray) -> tuple:
     Factoring H with its indices reversed, J H J = M M^T (J the reversal),
     gives H = U U^T with U = J M J upper triangular. So H^-1 = U^-T U^-1,
     and since a Cholesky factor is unique, L = U^-T and L^-1 = U^T = J M^T J
-    (Golub & Van Loan, Matrix Computations, sec. 4.2).
+    (Golub & Van Loan, Matrix Computations, sec. 4.2). Raises
+    ``CurvatureError`` when H is not finite or not positive definite.
     """
+    if not np.all(np.isfinite(neg_hess)):
+        raise CurvatureError("negative Hessian of the log joint is not finite")
     try:
         m = np.linalg.cholesky(neg_hess[::-1, ::-1])
     except np.linalg.LinAlgError as exc:
@@ -662,7 +665,8 @@ def laplace_approximation(model: BayesianModel, weights) -> GaussianDist:
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= NEWTON_TOL:
             return GaussianDist._fitted(theta, *_covariance_factor(neg_hess))
-        if newton_step == MAX_NEWTON:
+        # An overflowed curvature gives no Newton step to take.
+        if newton_step == MAX_NEWTON or not np.all(np.isfinite(neg_hess)):
             break
         chol, _ = _covariance_factor(neg_hess)
         direction = chol @ (chol.T @ grad)
@@ -724,8 +728,8 @@ def synth_gaussian_dataset(d: int, n: int, seed) -> BayesianModel:
     return standard_model("gaussian_mean", Dataset(x, np.zeros(n)))
 
 
-def synth_radial_basis_model(n: int, basis_scales, per_scale_count: int,
-                             seed) -> BayesianModel:
+def synth_radial_basis_model(n: int, basis_scales=(0.2, 0.4, 0.8, 1.2, 1.6, 2.0),
+                             per_scale_count: int = 50, seed=0) -> BayesianModel:
     """Synthetic 2-D radial-basis regression model.
 
     Generates 2-D coordinates, builds ``per_scale_count`` Gaussian bases per
@@ -733,7 +737,8 @@ def synth_radial_basis_model(n: int, basis_scales, per_scale_count: int,
     near-constant basis of scale 100 at the coordinate mean. Responses come
     from a random coefficient draw plus N(0, 0.5^2) observation noise. The
     likelihood noise variance is the empirical response variance; the prior
-    is N(mean(y), mean(y^2) I).
+    is N(mean(y), mean(y^2) I). The default basis, 50 bases at each of six
+    widths (301 features), is the ``radial_basis`` experiment's.
     """
     basis_scales = [float(s) for s in basis_scales]
     if n < 1 or per_scale_count < 1 or not basis_scales:

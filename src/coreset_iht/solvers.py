@@ -44,11 +44,8 @@ previous iteration gathered for supp(x) and supp(w), which are supp(z)
 unless a coordinate of z cancelled, and those columns are gathered again
 only when supp(x) and supp(w) join to a new set. The kernel selects from
 vectors it made itself, so it skips the NaN check of the public top-k
-helpers. On the factors, at seed 0, a logistic-wide iteration (about
-30 x 5000) takes about 290 us against a 92 us gradient, and a
-gaussian-paper one (21 x 100) about 90 us against a 15 us gradient (perfbench
-``--trace 1``, 2 vCPUs): what is left is the O(n) passes and the per-call
-overhead of the numpy calls.
+helpers. So an iteration costs one gradient plus the O(n) passes and the
+per-call overhead of the numpy calls; the README quotes measured times.
 
 ``solve_aiht_batched`` swaps the exact gradient for an unbiased two-mask
 stochastic estimator so large problems can run on data batches. Along a

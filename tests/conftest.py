@@ -20,7 +20,7 @@ def recovery_problem(rng, s_dim, n, k, value_range=(1.0, 5.0)):
 
 def radial_basis_prior_and_posterior():
     """The d = 301 radial-basis model's prior and a 60-point coreset posterior."""
-    model = synth_radial_basis_model(1000, [0.2, 0.4, 0.8, 1.2, 1.6, 2.0], 50, (0, 0, 0))
+    model = synth_radial_basis_model(1000, seed=(0, 0, 0))
     rng = np.random.default_rng(1)
     w = np.zeros(1000)
     w[rng.choice(1000, 60, replace=False)] = rng.uniform(0.0, 20.0, 60)

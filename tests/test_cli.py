@@ -83,20 +83,17 @@ class TestConfig:
                 {"experiment": "csv", "csv_path": "d.csv", "csv_kind": kind}).csv_kind == kind
 
     @pytest.mark.parametrize("setting,message", [
-        ({"basis_scales": []}, "basis_scales must be a non-empty list of finite widths > 0, "
-                               "got []"),
-        ({"basis_scales": [0.0, 1.0]}, "basis_scales must be a non-empty list of finite "
-                                       "widths > 0, got [0.0, 1.0]"),
-        ({"basis_scales": [-1.0, 1.0]}, "basis_scales must be a non-empty list of finite "
-                                        "widths > 0, got [-1.0, 1.0]"),
-        ({"basis_scales": [1.0, float("inf")]}, "basis_scales must be a non-empty list of "
-                                                "finite widths > 0, got [1.0, inf]"),
-        ({"per_scale_count": 0}, "per_scale_count must be >= 1, got 0"),
+        ({"basis_scales": []}, "unknown config fields: ['basis_scales']"),
+        ({"basis_scales": [0.0, 1.0]}, "unknown config fields: ['basis_scales']"),
+        ({"basis_scales": [-1.0, 1.0]}, "unknown config fields: ['basis_scales']"),
+        ({"basis_scales": [1.0, float("inf")]}, "unknown config fields: ['basis_scales']"),
+        ({"per_scale_count": 0}, "unknown config fields: ['per_scale_count']"),
     ], ids=["no_scales", "zero_scale", "negative_scale", "infinite_scale", "zero_count"])
     def test_radial_basis_settings_checked_when_config_is_made(self, tmp_path, capsys,
                                                                setting, message):
-        # Refused before a sweep creates its outdir, not when trial 0 builds
-        # its bases (a zero width once divided by zero there).
+        # The radial-basis basis is the generator's constant, so a config
+        # that sets it, in or out of range, is refused before a sweep
+        # creates its outdir.
         outdir = tmp_path / "out"
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"experiment": "radial_basis", "n_data": 30,
@@ -225,8 +222,7 @@ class TestSweep:
         for name in ("conjugate_posterior", "laplace_approximation"):
             monkeypatch.setattr(models, name, counted(getattr(models, name)))
         cfg = tiny_config(tmp_path, experiment=experiment, solver=solver, dim=2,
-                          n_data=30, s_count=50, basis_scales=[0.5, 1.0],
-                          per_scale_count=2)
+                          n_data=30, s_count=50)
         result = run_sweep(cfg)
         assert result.failures == 0
         trials, ks = cfg.trials, len(cfg.k_list)
@@ -337,8 +333,7 @@ class TestProblemSeam:
     def test_wide_sweep_solves_the_projection_problem(self, tmp_path, monkeypatch):
         # A radial-basis phi has full numerical rank, so a factor would not
         # halve its products.
-        cfg = tiny_config(tmp_path, experiment="radial_basis", n_data=120, s_count=60,
-                          basis_scales=[0.5, 1.0], per_scale_count=20)
+        cfg = tiny_config(tmp_path, experiment="radial_basis", n_data=120, s_count=60)
         projections, problems = self.sweep(monkeypatch, cfg)
         assert len(problems) == cfg.trials
         assert all(p.phi is phi for p, phi in zip(problems, projections))
@@ -364,12 +359,32 @@ class TestProblemSeam:
         for experiment in ("gaussian", "logistic", "radial_basis"):
             calls.pop("to_problem", None)
             cfg = tiny_config(tmp_path, experiment=experiment, solver=tracing.SOLVER,
-                              dim=2, n_data=30, s_count=50, basis_scales=[0.5, 1.0],
-                              per_scale_count=2)
+                              dim=2, n_data=30, s_count=50)
             assert run_sweep(cfg).failures == 0
             assert calls["to_problem"] == cfg.trials
         expected = {name for names in tracing.CLI_CALLS.values() for name in names}
         assert expected <= set(calls)
+
+    @pytest.mark.parametrize("solver", list(cli.SOLVERS))
+    def test_only_solvers_that_read_s_count_build_a_projection(self, tmp_path, monkeypatch,
+                                                                solver):
+        calls = {"build_projection": 0, "to_problem": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_projection",
+                            counted("build_projection", cli.build_projection))
+        monkeypatch.setattr(models.ProjectionSet, "to_problem",
+                            counted("to_problem", models.ProjectionSet.to_problem))
+        step = {"vanilla_step": 0.5} if solver == "vanilla" else {}
+        cfg = tiny_config(tmp_path, solver=solver, **step)
+        assert run_sweep(cfg).failures == 0
+        builds = 0 if solver == "uniform" else cfg.trials
+        assert calls == {"build_projection": builds, "to_problem": builds}
 
 
 class TestTheoryCheck:
@@ -548,6 +563,8 @@ class TestMainEntry:
         ({"dim": "2"}, "config field dim must be int"),
         ({"map_l2": True}, "unknown config fields: ['map_l2']"),
         ({"momentum_formula": "exact_argmin"}, "unknown config fields: ['momentum_formula']"),
+        ({"basis_scales": [0.5, 1.0]}, "unknown config fields: ['basis_scales']"),
+        ({"per_scale_count": 2}, "unknown config fields: ['per_scale_count']"),
     ])
     def test_evaluate_bad_build_config_exits_one(self, tmp_path, capsys, logistic_build,
                                                  config, message):
@@ -565,7 +582,7 @@ class TestMainEntry:
         ({"trials": True}, "config field trials must be int"),
         ({"k_list": 5}, "config field k_list must be list[int]"),
         ({"k_list": [3.5]}, "config field k_list must be list[int]"),
-        ({"basis_scales": ["0.5"]}, "config field basis_scales must be list[float]"),
+        ({"rel_tol": "0.5"}, "config field rel_tol must be float"),
         ({"record_timing": 0}, "config field record_timing must be bool"),
         ({"map_l2": True}, "unknown config fields: ['map_l2']"),
         ([1, 2], "a config must be a JSON object"),
@@ -767,7 +784,36 @@ DEFAULTS = ExperimentConfig().to_dict()
 def test_every_config_field_has_a_reader():
     assert set().union(*cli._READS.values()) == set(DEFAULTS)
     assert {command: len(cli._READS[command]) for command in CONFIG_COMMANDS} == {
-        "gen-data": 9, "build": 17, "sweep": 18, "theory-check": 9}
+        "gen-data": 7, "build": 15, "sweep": 16, "theory-check": 9}
+
+
+# The radial-basis basis fields, now the generator's constants, with values
+# they once took.
+REMOVED_FIELDS = {"basis_scales": [0.5, 1.0], "per_scale_count": 2}
+REMOVED_CASES = [(command, name) for command in CONFIG_COMMANDS for name in REMOVED_FIELDS]
+
+
+@pytest.mark.parametrize("command,name", REMOVED_CASES,
+                         ids=[" ".join(case) for case in REMOVED_CASES])
+def test_removed_radial_basis_fields_are_unknown(tmp_path, capsys, command, name):
+    # A config file written when the basis was a setting is refused, not
+    # read or ignored.
+    config = {name: REMOVED_FIELDS[name]}
+    if command != "theory-check":
+        config["experiment"] = "radial_basis"
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_file), "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: unknown config fields: ['{name}']\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_every_config_field_has_a_flag():
+    # A setting with no flag has one value in use, so it is a constant
+    # rather than a field.
+    assert len(DEFAULTS) == 18
+    assert all(flag for flag, _, _, _ in cli._FLAGS)
+    assert sorted(name for _, name, _, _ in cli._FLAGS if name) == sorted(DEFAULTS)
 
 
 # Each field a subcommand does not read, with its default value, so only the
@@ -776,7 +822,7 @@ UNREAD_CONFIGS = [(command, {name: DEFAULTS[name]})
                   for command in CONFIG_COMMANDS
                   for name in sorted(set(DEFAULTS) - cli._READS[command])] + [
     ("sweep", {"rip_budget": 5, "near_orthonormal": True}),
-    ("theory-check", {"experiment": "logistic", "dim": 7, "basis_scales": [9.0], "trials": 4}),
+    ("theory-check", {"experiment": "logistic", "dim": 7, "trials": 4}),
     ("gen-data", {"solver": "vanilla", "n_data": 30}),
 ]
 
@@ -812,8 +858,7 @@ def test_each_output_records_the_fields_its_subcommand_reads(tmp_path, capsys):
     assert len(sweep_configs) == 3
     # The default gaussian experiment and aiht solver read neither the other
     # experiments' fields nor the batched and vanilla solvers' settings.
-    unread = {"basis_scales", "per_scale_count", "csv_path", "csv_kind", "batch_fraction",
-              "vanilla_step"}
+    unread = {"csv_path", "csv_kind", "batch_fraction", "vanilla_step"}
     for config in sweep_configs:
         assert set(config) == cli._READS["sweep"] - unread
     build_config = json.loads(build_path.read_text())["config"]
@@ -841,18 +886,18 @@ def choice_payload(experiment, solver, csv_path, outdir):
     """A tiny valid config of ``experiment`` and ``solver`` that sets every
     field."""
     return dict(experiment=experiment, solver=solver, k_list=[3], trials=1, seed=1,
-                s_count=30, outdir=str(outdir), dim=2, n_data=20, basis_scales=[0.5, 1.0],
-                per_scale_count=2, csv_path=str(csv_path), csv_kind="logistic",
-                max_iters=50, rel_tol=1e-5, batch_fraction=0.2, vanilla_step=0.5,
-                record_timing=False, rip_budget=10 ** 6, near_orthonormal=False)
+                s_count=30, outdir=str(outdir), dim=2, n_data=20, csv_path=str(csv_path),
+                csv_kind="logistic", max_iters=50, rel_tol=1e-5, batch_fraction=0.2,
+                vanilla_step=0.5, record_timing=False, rip_budget=10 ** 6,
+                near_orthonormal=False)
 
 
 # Another valid value of every field that some subcommand and choice leave
 # unread; experiment, seed and outdir are read by each of them.
 CHANGED = dict(solver="aiht_batched", k_list=[4], trials=2, s_count=40, dim=3, n_data=25,
-               basis_scales=[0.7], per_scale_count=3, csv_path="elsewhere.csv",
-               csv_kind="poisson", max_iters=60, rel_tol=1e-3, batch_fraction=0.5,
-               vanilla_step=1.0, record_timing=True, rip_budget=5, near_orthonormal=True)
+               csv_path="elsewhere.csv", csv_kind="poisson", max_iters=60, rel_tol=1e-3,
+               batch_fraction=0.5, vanilla_step=1.0, record_timing=True, rip_budget=5,
+               near_orthonormal=True)
 RUNS = {"gen-data": run_gen_data, "build": run_build, "sweep": run_sweep}
 
 
@@ -869,10 +914,10 @@ def test_each_choice_names_the_fields_only_it_reads(tmp_path):
             assert reads <= cli._READS[command]
             counts[command][experiment, solver] = len(reads)
     assert {command: (min(c.values()), max(c.values())) for command, c in counts.items()} == {
-        "gen-data": (5, 6), "build": (8, 13), "sweep": (9, 14)}
+        "gen-data": (4, 5), "build": (7, 12), "sweep": (8, 13)}
     # The benchmark's workloads: gaussian-paper, logistic-wide, radial-basis.
     assert [counts["sweep"][e, "aiht"] for e in ("gaussian", "logistic", "radial_basis")] == [
-        12, 12, 13]
+        12, 12, 11]
     cfg = ExperimentConfig.from_dict(choice_payload("radial_basis", "uniform", "d.csv", tmp_path))
     assert cli._reads(cfg, "theory-check") == cli._READS["theory-check"]
 
@@ -923,7 +968,7 @@ def test_fields_outside_the_read_set_change_no_output(dataset_csv, tmp_path, com
      {"experiment": "csv", "csv_path": "d.csv", "csv_kind": "logistic", "n_data": 20},
      "build with experiment csv and solver uniform does not read config fields "
      "['n_data']"),
-    (["gen-data", "--experiment", "radial_basis", "--dim", "3"], {"per_scale_count": 2},
+    (["gen-data", "--experiment", "radial_basis", "--dim", "3"], {"n_data": 30},
      "gen-data with experiment radial_basis does not read config fields ['dim']"),
 ], ids=["sweep_step_and_batch_fraction", "sweep_radial_basis_uniform", "build_csv_n_data",
         "gen_data_radial_basis_dim"])
@@ -974,6 +1019,22 @@ def test_typed_fit_error_of_a_sweep_exits_one_without_a_traceback(tmp_path, caps
     assert captured.out == ""
     assert captured.err.startswith("error: NewtonConvergenceError: Newton did not converge")
     assert captured.err.count("\n") == 1
+
+
+def test_overflowing_conjugate_fit_of_a_sweep_exits_one_without_a_traceback(tmp_path, capsys):
+    # At +-1e200 the linear-regression Hessian product overflows; the
+    # conjugate fit ends with the typed error, not a RuntimeWarning or the
+    # untyped check of the fitted mean.
+    data_path = tmp_path / "big.csv"
+    data_path.write_text("x0,y\n" + "".join(
+        f"{sign}1e200,{label}\n" for sign, label in zip(["", "-"] * 3, range(6))))
+    assert main(["sweep", "--experiment", "csv", "--csv-path", str(data_path),
+                 "--csv-kind", "linear_regression", "--k", "2", "--s-count", "20",
+                 "--outdir", str(tmp_path / "out"), "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: CurvatureError: negative Hessian of the log joint "
+                            "is not finite\n")
 
 
 @pytest.mark.parametrize("command", [["gen-data"], ["sweep", "--k", "1", "--s-count", "20"]],

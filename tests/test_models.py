@@ -887,7 +887,7 @@ class TestFitFactorisesOnce:
 
     @staticmethod
     def radial_basis_fits():
-        model = synth_radial_basis_model(1000, [0.2, 0.4, 0.8, 1.2, 1.6, 2.0], 50, (0, 0, 0))
+        model = synth_radial_basis_model(1000, seed=(0, 0, 0))
         rng = np.random.default_rng(1)
         w = np.zeros(1000)
         w[rng.choice(1000, 60, replace=False)] = rng.uniform(0.0, 20.0, 60)
@@ -933,6 +933,13 @@ class TestFitFactorisesOnce:
         with pytest.raises(models.CurvatureError):
             conjugate_posterior(model, np.ones(12))
 
+    def test_non_finite_h_raises_curvature_error(self):
+        # An overflowed Hessian would otherwise reach the fitted mean's
+        # untyped finiteness check.
+        for bad in (np.inf, np.nan):
+            with pytest.raises(models.CurvatureError, match="not finite"):
+                models._covariance_factor(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_fit_forms_cov_on_its_first_read(self):
         model, weights = self.radial_basis_fits()
         post = conjugate_posterior(model, weights["coreset_60"])
@@ -975,6 +982,14 @@ class TestSynthRadialBasis:
         assert np.all(feats >= 0) and np.all(feats <= 1.0)
         # The last basis, of scale 100 at the coordinate mean, is near-constant.
         assert np.all(feats[:, -1] > 0.99)
+
+    def test_default_basis_is_the_experiments(self):
+        # Six widths of 50 bases each, plus the near-constant one.
+        model = synth_radial_basis_model(40, seed=3)
+        given = synth_radial_basis_model(40, [0.2, 0.4, 0.8, 1.2, 1.6, 2.0], 50, 3)
+        assert model.dataset.d == 301
+        assert np.array_equal(model.dataset.x, given.dataset.x)
+        assert np.array_equal(model.dataset.y, given.dataset.y)
 
     def test_prior_from_response_moments(self):
         model = synth_radial_basis_model(30, [0.5], 4, seed=1)
