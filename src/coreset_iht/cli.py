@@ -311,11 +311,11 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     ``cfg.outdir``. Per-trial seeds derive from the base seed
     plus the trial index, and aggregation is deterministic.
     """
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     config = _recorded(cfg, "sweep")
     runs = [run for t in range(cfg.trials) for run in _run_trial(cfg, t, config)]
 
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     run_paths = []
     failures = 0
     for run in runs:
@@ -344,8 +344,6 @@ def run_theory_check(cfg: ExperimentConfig) -> tuple[Path, bool]:
     if len(cfg.k_list) != 1:
         raise ValueError(f"theory-check takes one sparsity level, got k_list {cfg.k_list}")
     k = cfg.k_list[0]
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     problem, planted = make_planted_problem(
         cfg.n_data, cfg.s_count, k, cfg.seed, near_orthonormal=cfg.near_orthonormal)
     rip = estimate_rip(problem, isometry_levels(k, problem.n), budget=cfg.rip_budget)
@@ -360,6 +358,8 @@ def run_theory_check(cfg: ExperimentConfig) -> tuple[Path, bool]:
         "rip": rip.to_dict(),
         "report": report.to_dict(),
     }
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "theory_check.json"
     _write_json(path, payload)
     return path, report.all_satisfied
@@ -367,9 +367,9 @@ def run_theory_check(cfg: ExperimentConfig) -> tuple[Path, bool]:
 
 def run_gen_data(cfg: ExperimentConfig) -> Path:
     """Write the trial-0 synthetic dataset as a CSV the loader reads back."""
+    model = _model_for_trial(cfg, 0)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    model = _model_for_trial(cfg, 0)
     path = outdir / f"dataset_{cfg.experiment}_seed{cfg.seed}.csv"
     save_csv_dataset(path, model.dataset)
     return path
@@ -385,11 +385,11 @@ def run_build(cfg: ExperimentConfig) -> Path:
     nothing and raises ``RuntimeError`` with the run's recorded error."""
     if len(cfg.k_list) != 1:
         raise ValueError(f"build takes one sparsity level, got k_list {cfg.k_list}")
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     (run,) = _run_trial(cfg, 0, _recorded(cfg, "build"))
     if "error" in run:
         raise _RunFailed(run["error"])
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"build_{cfg.experiment}_{cfg.solver}_k{run['k']}.json"
     _write_json(path, run)
     return path

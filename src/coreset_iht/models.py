@@ -2,9 +2,10 @@
 
 Four model kinds are supported:
 
-* ``gaussian_mean``      -- x_i ~ N(theta, obs_cov), conjugate Gaussian prior.
+* ``gaussian_mean``      -- x_i ~ N(theta, I), conjugate Gaussian prior.
 * ``linear_regression``  -- y_i ~ N(b_i^T theta, noise_var) with feature rows
-  b_i (radial-basis features for the synthetic regression generator).
+  b_i (radial-basis features for the synthetic regression generator) and
+  noise_var the targets' variance.
 * ``logistic``           -- y_i in {-1,+1}, P(y=1) = sigmoid(z_i^T theta) with
   z_i = [x_i, 1].
 * ``poisson``            -- y_i ~ Poisson(softplus(z_i^T theta)).
@@ -101,20 +102,6 @@ def _row_chunks(a: np.ndarray):
         yield slice(lo, lo + step), rows, scratch[:rows.shape[0]]
 
 
-def _covariance_cholesky(cov: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of a covariance given from outside a fit, after
-    checking that it is finite, symmetric within ``COV_SYMMETRY_TOL`` and
-    positive definite; ``name`` names it in the error."""
-    if not np.all(np.isfinite(cov)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if np.max(np.abs(cov - cov.T)) > COV_SYMMETRY_TOL:
-        raise ValueError(f"{name} is not symmetric")
-    try:
-        return np.linalg.cholesky((cov + cov.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{name} is not positive definite") from exc
-
-
 def _tril_inv(chol: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular matrix with a positive diagonal; the
     dense inverse leaves rounding residue above the diagonal, cleared here."""
@@ -150,7 +137,14 @@ class GaussianDist:
             raise ValueError(f"cov has shape {cov.shape}, expected ({d}, {d})")
         if not np.all(np.isfinite(mean)):
             raise ValueError("mean contains non-finite entries")
-        chol = _covariance_cholesky(cov, "covariance")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("covariance contains non-finite entries")
+        if np.max(np.abs(cov - cov.T)) > COV_SYMMETRY_TOL:
+            raise ValueError("covariance is not symmetric")
+        try:
+            chol = np.linalg.cholesky((cov + cov.T) / 2.0)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("covariance is not positive definite") from exc
         for name, value in (("mean", mean), ("cov", cov), ("chol", chol),
                             ("chol_inv", _tril_inv(chol))):
             object.__setattr__(self, name, _frozen_array(value))
@@ -240,20 +234,19 @@ def _validate_labels(kind: str, y: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class BayesianModel:
-    """A model kind, its data, a Gaussian prior, and kind-specific parameters.
+    """A model kind, its data and a Gaussian prior.
 
-    ``noise_var`` is read by linear_regression models only and ``obs_cov``
-    by gaussian_mean models only; a model of another kind refuses either.
     The targets are checked against the kind's label domain. The prior
-    precision, and for Poisson models log y_i!, are derived once.
+    precision, a linear_regression model's noise variance (the targets'
+    variance, or 1 when the targets are constant) and a Poisson model's
+    log y_i! are derived once. A gaussian_mean model's observation
+    covariance is the identity.
     """
 
     kind: str
     dataset: Dataset
     prior: GaussianDist
-    noise_var: Optional[float] = None
-    obs_cov: Optional[np.ndarray] = None
-    obs_prec: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    noise_var: Optional[float] = field(init=False, default=None)
     prior_prec: np.ndarray = field(init=False, repr=False)
     log_factorial_y: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
@@ -261,22 +254,8 @@ class BayesianModel:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         _validate_labels(self.kind, self.dataset.y)
-        for name, reader in (("noise_var", "linear_regression"), ("obs_cov", "gaussian_mean")):
-            if getattr(self, name) is not None and self.kind != reader:
-                raise ValueError(f"{name} is a {reader} parameter; a {self.kind} model "
-                                 "does not read it")
-        if self.kind == "gaussian_mean":
-            obs_cov = self.obs_cov if self.obs_cov is not None else np.eye(self.dataset.d)
-            obs_cov = np.asarray(obs_cov, dtype=np.float64)
-            if obs_cov.shape != (self.dataset.d, self.dataset.d):
-                raise ValueError("obs_cov shape does not match feature dimension")
-            _covariance_cholesky(obs_cov, "obs_cov")
-            obs_prec = np.linalg.inv(obs_cov)
-            object.__setattr__(self, "obs_cov", _frozen_array(obs_cov))
-            object.__setattr__(self, "obs_prec", _frozen_array((obs_prec + obs_prec.T) / 2.0))
-        elif self.kind == "linear_regression":
-            if self.noise_var is None or not self.noise_var > 0:
-                raise ValueError("linear_regression requires noise_var > 0")
+        if self.kind == "linear_regression":
+            object.__setattr__(self, "noise_var", float(np.var(self.dataset.y)) or 1.0)
         elif self.kind == "poisson":
             log_fact = [math.lgamma(v + 1.0) for v in self.dataset.y]
             object.__setattr__(self, "log_factorial_y", _frozen_array(np.array(log_fact)))
@@ -308,9 +287,9 @@ class BayesianModel:
         """``log_likelihood_matrix`` restricted to the data rows ``rows`` (an
         index array or a slice)."""
         # Overflow gives a non-finite entry, not a warning: build_projection
-        # and log_likelihood find such entries and raise LikelihoodError
-        # naming the data index, and the Laplace fit rejects a trial point
-        # whose log joint is not finite.
+        # finds such entries and raises LikelihoodError naming the data
+        # index, and the Laplace fit rejects a trial point whose log joint
+        # is not finite.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x, y = self.dataset.x[rows], self.dataset.y[rows]
             # Each kind fills the N x S transpose from one product of its
@@ -318,13 +297,11 @@ class BayesianModel:
             # and finishes it in place (the GLMs a row chunk at a time with
             # one chunk-sized temporary) in the out-of-place formulas' bits.
             if self.kind == "gaussian_mean":
-                _, logdet = np.linalg.slogdet(self.obs_cov)
-                norm_const = -0.5 * (x.shape[1] * np.log(2 * np.pi) + logdet)
-                xp = x @ self.obs_prec
-                xq = np.einsum("nd,nd->n", xp, x)
-                tq = np.einsum("sd,sd->s", thetas @ self.obs_prec, thetas)
+                norm_const = -0.5 * x.shape[1] * np.log(2 * np.pi)
+                xq = np.einsum("nd,nd->n", x, x)
+                tq = np.einsum("sd,sd->s", thetas, thetas)
                 # norm_const - 0.5 * (xq - 2 cross + tq)
-                out = xp @ thetas.T
+                out = x @ thetas.T
                 out *= 2.0
                 np.subtract(xq[:, None], out, out=out)
                 out += tq[None, :]
@@ -357,16 +334,6 @@ class BayesianModel:
                     np.subtract(tmp, log_factorial_y[i, None], out=lam)
             return out.T
 
-    def log_likelihood(self, i: int, theta) -> float:
-        """L_i(theta) for a single data point; errors on non-finite output."""
-        if not 0 <= i < self.dataset.n:
-            raise ValueError(f"data index {i} out of range [0, {self.dataset.n})")
-        theta = np.asarray(theta, dtype=np.float64)
-        value = float(self.log_likelihood_matrix(theta[None, :])[0, i])
-        if not np.isfinite(value):
-            raise LikelihoodError(f"non-finite log-likelihood at data index {i}, theta={theta}")
-        return value
-
     # -- weighted log joint and derivatives ------------------------------
 
     def log_joint(self, theta, weights) -> tuple:
@@ -393,8 +360,8 @@ class BayesianModel:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if self.kind == "gaussian_mean":
                 w_sum = float(w.sum())
-                grad += self.obs_prec @ (x.T @ w - w_sum * theta)
-                neg_hess += w_sum * self.obs_prec
+                grad += x.T @ w - w_sum * theta
+                neg_hess += w_sum * np.eye(theta.shape[0])
             elif self.kind == "linear_regression":
                 resid = y - x @ theta
                 grad += x.T @ (w * resid) / self.noise_var
@@ -708,15 +675,9 @@ def full_data_posterior(model: BayesianModel) -> GaussianDist:
 
 def standard_model(kind: str, dataset: Dataset) -> BayesianModel:
     """The ``kind`` model of ``dataset`` with prior N(0, I) on its parameters,
-    the logistic and Poisson intercept included. A gaussian_mean model has
-    observation covariance I; a linear_regression one has the targets'
-    variance as its noise variance, or 1 when the targets are constant."""
+    the logistic and Poisson intercept included."""
     d = dataset.d + 1 if kind in ("logistic", "poisson") else dataset.d
-    prior = GaussianDist(np.zeros(d), np.eye(d))
-    if kind == "linear_regression":
-        noise_var = float(np.var(dataset.y)) or 1.0
-        return BayesianModel(kind=kind, dataset=dataset, prior=prior, noise_var=noise_var)
-    return BayesianModel(kind=kind, dataset=dataset, prior=prior)
+    return BayesianModel(kind=kind, dataset=dataset, prior=GaussianDist(np.zeros(d), np.eye(d)))
 
 
 def synth_gaussian_dataset(d: int, n: int, seed) -> BayesianModel:
@@ -736,8 +697,8 @@ def synth_radial_basis_model(n: int, basis_scales=(0.2, 0.4, 0.8, 1.2, 1.6, 2.0)
     scale with means sampled uniformly from the coordinates, plus one
     near-constant basis of scale 100 at the coordinate mean. Responses come
     from a random coefficient draw plus N(0, 0.5^2) observation noise. The
-    likelihood noise variance is the empirical response variance; the prior
-    is N(mean(y), mean(y^2) I). The default basis, 50 bases at each of six
+    prior is N(mean(y), mean(y^2) I); the model derives its noise variance
+    from the responses. The default basis, 50 bases at each of six
     widths (301 features), is the ``radial_basis`` experiment's.
     """
     basis_scales = [float(s) for s in basis_scales]
@@ -763,14 +724,8 @@ def synth_radial_basis_model(n: int, basis_scales=(0.2, 0.4, 0.8, 1.2, 1.6, 2.0)
     d = feats.shape[1]
     alpha = rng.standard_normal(d)
     y = feats @ alpha + 0.5 * rng.standard_normal(n)
-    noise_var = float(np.var(y))
     prior = GaussianDist(np.full(d, y.mean()), float(np.mean(y ** 2)) * np.eye(d))
-    return BayesianModel(
-        kind="linear_regression",
-        dataset=Dataset(feats, y),
-        prior=prior,
-        noise_var=noise_var,
-    )
+    return BayesianModel(kind="linear_regression", dataset=Dataset(feats, y), prior=prior)
 
 
 def synth_glm_dataset(kind: str, n: int, d: Optional[int] = None, seed=0) -> BayesianModel:
@@ -796,9 +751,10 @@ def synth_glm_dataset(kind: str, n: int, d: Optional[int] = None, seed=0) -> Bay
 def load_csv_dataset(path) -> Dataset:
     """Parse a dataset CSV: header row, feature columns, target last.
 
-    UTF-8, '.' decimal separator. Raises on malformed rows (with the line
-    number). The targets are checked against a model kind's label domain
-    when a ``BayesianModel`` is made of the dataset.
+    UTF-8, '.' decimal separator. Raises on a malformed row or a
+    non-numeric or non-finite field (with the line number). The targets are
+    checked against a model kind's label domain when a ``BayesianModel`` is
+    made of the dataset.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -816,9 +772,12 @@ def load_csv_dataset(path) -> Dataset:
             if len(row) != width:
                 raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}: line {lineno}: non-finite field")
+            rows.append(values)
     data = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
     return Dataset(data[:, :-1], data[:, -1])
 

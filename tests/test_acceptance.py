@@ -251,8 +251,7 @@ def test_criterion_7_laplace_exactness():
             b = rng.standard_normal((8, 3))
             y = rng.standard_normal(8)
             model = BayesianModel(kind="linear_regression", dataset=Dataset(b, y),
-                                  prior=GaussianDist(np.zeros(3), 2.0 * np.eye(3)),
-                                  noise_var=0.8)
+                                  prior=GaussianDist(np.zeros(3), 2.0 * np.eye(3)))
         w = rng.uniform(0.0, 3.0, size=8) * (rng.random(8) < 0.7)
         lap = laplace_approximation(model, w)
         conj = conjugate_posterior(model, w)

@@ -448,10 +448,20 @@ class TestMainEntry:
         assert out.endswith(".csv")
 
     def test_theory_check_budget_exit_two(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
         rc = main(["theory-check", "--n-data", "8", "--k", "2", "--s-count", "30",
-                   "--rip-budget", "1", "--outdir", str(tmp_path)])
+                   "--rip-budget", "1", "--outdir", str(outdir)])
         assert rc == 2
         assert "refused" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_near_orthonormal_theory_check_with_too_few_samples_writes_nothing(
+            self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        assert main(["theory-check", "--n-data", "8", "--k", "2", "--s-count", "5",
+                     "--near-orthonormal", "--outdir", str(outdir)]) == 1
+        assert capsys.readouterr().err == "error: near-orthonormal instances need s_dim >= n\n"
+        assert not outdir.exists()
 
     def test_sweep_failures_exit_one(self, tmp_path):
         rc = main(["sweep", "--experiment", "gaussian", "--solver", "vanilla",
@@ -677,7 +687,7 @@ class TestMainEntry:
                    "--outdir", str(outdir)])
         assert rc == 1
         assert capsys.readouterr().err == "error: k values [200] exceed data count 100\n"
-        assert list(outdir.iterdir()) == []
+        assert not outdir.exists()
 
     def test_csv_uniform_sweep_uses_dataset_size(self, tmp_path, capsys):
         # The uniform baseline once drew weights for the default n_data (100)
@@ -1037,8 +1047,11 @@ def test_overflowing_conjugate_fit_of_a_sweep_exits_one_without_a_traceback(tmp_
                             "is not finite\n")
 
 
-@pytest.mark.parametrize("command", [["gen-data"], ["sweep", "--k", "1", "--s-count", "20"]],
-                         ids=["gen-data", "sweep"])
+CSV_COMMANDS = {"gen-data": ["gen-data"], "build": ["build", "--k", "1", "--s-count", "20"],
+                "sweep": ["sweep", "--k", "1", "--s-count", "20"]}
+
+
+@pytest.mark.parametrize("command", CSV_COMMANDS.values(), ids=CSV_COMMANDS)
 def test_csv_label_outside_the_kind_exits_one(tmp_path, capsys, command):
     # The loader reads any numeric target; the model made of the CSV refuses
     # a label outside its kind's domain before anything is written.
@@ -1050,7 +1063,20 @@ def test_csv_label_outside_the_kind_exits_one(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: logistic labels must be in {-1, +1}\n"
-    assert not any(outdir.iterdir())
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", CSV_COMMANDS.values(), ids=CSV_COMMANDS)
+def test_non_finite_csv_field_exits_one_naming_its_line(tmp_path, capsys, command):
+    data_path = tmp_path / "bad.csv"
+    data_path.write_text("x0,y\n0.5,1\nnan,-1\n")
+    outdir = tmp_path / "out"
+    assert main([*command, "--experiment", "csv", "--csv-path", str(data_path),
+                 "--csv-kind", "logistic", "--outdir", str(outdir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {data_path}: line 3: non-finite field\n"
+    assert not outdir.exists()
 
 
 def test_typed_fit_error_of_evaluate_exits_one_without_a_traceback(tmp_path, capsys,

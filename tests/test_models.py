@@ -1,12 +1,13 @@
 import math
+import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 from scipy.special import expit, gammaln
+from scipy.stats import multivariate_normal, norm
 
 from coreset_iht import (
     BayesianModel,
@@ -38,14 +39,13 @@ from conftest import radial_basis_prior_and_posterior
 EPS = np.finfo(float).eps
 
 
-def gaussian_mean_model(x, obs_cov=None, prior_var=1.0):
+def gaussian_mean_model(x, prior_var=1.0):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = x.shape[1]
     return BayesianModel(
         kind="gaussian_mean",
         dataset=Dataset(x, np.zeros(x.shape[0])),
         prior=GaussianDist(np.zeros(d), prior_var * np.eye(d)),
-        obs_cov=np.eye(d) if obs_cov is None else obs_cov,
     )
 
 
@@ -56,12 +56,8 @@ def small_model(kind, seed=0):
         return synth_glm_dataset(kind, 12, d=2, seed=seed)
     x = rng.standard_normal((12, 3))
     prior = GaussianDist(rng.standard_normal(3), np.diag(rng.uniform(0.5, 2.0, 3)))
-    if kind == "gaussian_mean":
-        a = rng.standard_normal((3, 3))
-        return BayesianModel(kind=kind, dataset=Dataset(x, np.zeros(12)), prior=prior,
-                             obs_cov=a @ a.T + np.eye(3))
-    return BayesianModel(kind=kind, dataset=Dataset(x, rng.standard_normal(12)),
-                         prior=prior, noise_var=0.7)
+    y = np.zeros(12) if kind == "gaussian_mean" else rng.standard_normal(12)
+    return BayesianModel(kind=kind, dataset=Dataset(x, y), prior=prior)
 
 
 class TestGaussianDist:
@@ -150,8 +146,8 @@ def all_rows_log_joint(model, theta, w):
     grad = -prec @ (theta - model.prior.mean)
     hess = prec.copy()
     if model.kind == "gaussian_mean":
-        grad += model.obs_prec @ (x.T @ w - w.sum() * theta)
-        hess += w.sum() * model.obs_prec
+        grad += x.T @ w - w.sum() * theta
+        hess += w.sum() * np.eye(x.shape[1])
     elif model.kind == "linear_regression":
         grad += x.T @ (w * (y - x @ theta)) / model.noise_var
         hess += (x.T * w) @ x / model.noise_var
@@ -180,23 +176,24 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             BayesianModel(kind="poisson", dataset=Dataset([[0.1]], [1.5]), prior=prior)
 
-    def test_linear_regression_needs_noise_var(self):
-        prior = GaussianDist(np.zeros(1), np.eye(1))
-        with pytest.raises(ValueError):
-            BayesianModel(kind="linear_regression", dataset=Dataset([[1.0]], [0.5]),
-                          prior=prior)
+    @pytest.mark.parametrize("y,noise_var", [
+        ([0.5, -1.0, 2.0], float(np.var([0.5, -1.0, 2.0]))),
+        ([0.5, 0.5, 0.5], 1.0),
+    ], ids=["varied", "constant"])
+    def test_linear_regression_noise_var_is_the_targets_variance(self, y, noise_var):
+        model = standard_model("linear_regression", Dataset([[1.0], [0.0], [2.0]], y))
+        assert model.noise_var == noise_var
+        assert standard_model("gaussian_mean", Dataset([[1.0]], [0.0])).noise_var is None
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_parameter_of_another_kind_refused(self, kind):
-        # noise_var is read only by linear_regression and obs_cov only by
-        # gaussian_mean; a model of any other kind refuses it.
+    def test_model_is_its_kind_data_and_prior(self, kind):
+        # Nothing else is an argument: the observation covariance is I and
+        # the noise variance is derived from the targets.
         model = standard_model(kind, Dataset([[0.5], [1.0]], [1.0, 1.0]))
-        for name, value, reader in (("noise_var", 0.5, "linear_regression"),
-                                    ("obs_cov", np.eye(1), "gaussian_mean")):
-            if kind != reader:
-                with pytest.raises(ValueError, match=f"^{name} is a {reader} parameter; "
-                                                     f"a {kind} model does not read it$"):
-                    replace(model, **{name: value})
+        for name, value in (("noise_var", 0.5), ("obs_cov", np.eye(1))):
+            with pytest.raises(TypeError, match=name):
+                BayesianModel(kind=kind, dataset=model.dataset, prior=model.prior,
+                              **{name: value})
 
     @pytest.mark.parametrize("cov,message", [
         ([[1.0, 0.9], [0.0, 1.0]], "is not symmetric"),
@@ -204,11 +201,8 @@ class TestModelValidation:
         ([[1.0, 2.0], [2.0, 1.0]], "is not positive definite"),
     ], ids=["asymmetric", "nan", "indefinite"])
     def test_covariances_checked_by_one_rule(self, cov, message):
-        # The observation covariance is held to the prior covariance's rules.
         with pytest.raises(ValueError, match=f"^covariance {message}$"):
             GaussianDist(np.zeros(2), cov)
-        with pytest.raises(ValueError, match=f"^obs_cov {message}$"):
-            gaussian_mean_model(np.zeros((3, 2)), obs_cov=np.array(cov))
 
     def test_prior_dim_must_match(self):
         prior = GaussianDist(np.zeros(2), np.eye(2))  # logistic over 1 feature needs dim 2
@@ -220,14 +214,30 @@ class TestModelValidation:
 class TestLogLikelihood:
     def test_logistic_at_zero_theta(self):
         model = synth_glm_dataset("logistic", 10, seed=0)
-        theta = np.zeros(3)
-        for i in range(10):
-            assert model.log_likelihood(i, theta) == pytest.approx(math.log(0.5), rel=1e-12)
+        values = model.log_likelihood_matrix(np.zeros(3))
+        assert values.shape == (1, 10)
+        np.testing.assert_allclose(values, math.log(0.5), rtol=1e-12)
 
     def test_gaussian_mean_at_data_point(self):
         model = gaussian_mean_model([[0.3, -1.2]])
-        value = model.log_likelihood(0, np.array([0.3, -1.2]))
+        value = model.log_likelihood_matrix(np.array([0.3, -1.2]))[0, 0]
         assert value == pytest.approx(-math.log(2 * math.pi), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", CONJUGATE_KINDS)
+    def test_conjugate_kinds_match_scipy_densities(self, kind):
+        # N(x_i | theta, I) and N(y_i | b_i^T theta, noise_var), with the
+        # noise variance the model derives from the targets.
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((7, 3))
+        model = standard_model(kind, Dataset(x, 2.0 * rng.standard_normal(7)))
+        thetas = rng.standard_normal((5, 3))
+        got = model.log_likelihood_matrix(thetas)
+        for j, theta in enumerate(thetas):
+            if kind == "gaussian_mean":
+                ref = [multivariate_normal(theta, np.eye(3)).logpdf(xi) for xi in x]
+            else:
+                ref = norm(x @ theta, math.sqrt(model.noise_var)).logpdf(model.dataset.y)
+            np.testing.assert_allclose(got[j], ref, rtol=1e-12, atol=0)
 
     def test_poisson_matches_direct_evaluation(self):
         prior = GaussianDist(np.zeros(2), np.eye(2))
@@ -237,7 +247,7 @@ class TestLogLikelihood:
         for i, (x, y) in enumerate([(0.4, 2.0), (-1.2, 0.0)]):
             rate = math.log1p(math.exp(0.7 * x - 0.3))
             expected = y * math.log(rate) - rate - math.lgamma(y + 1.0)
-            assert model.log_likelihood(i, theta) == pytest.approx(expected, rel=1e-12)
+            assert model.log_likelihood_matrix(theta)[0, i] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["logistic", "poisson"])
     @pytest.mark.parametrize("entries", [1, 100])
@@ -250,16 +260,14 @@ class TestLogLikelihood:
         monkeypatch.setattr(models, "_CHUNK_ENTRIES", entries)
         np.testing.assert_array_equal(model.log_likelihood_matrix(thetas), whole)
 
-    def test_index_out_of_range(self):
-        model = gaussian_mean_model([[0.0]])
-        with pytest.raises(ValueError):
-            model.log_likelihood(1, np.zeros(1))
-
     def test_nonfinite_raises_with_index(self):
+        # The rate underflows, so the value is -inf without a warning, and a
+        # projection at that theta names the data index.
         prior = GaussianDist(np.zeros(2), np.eye(2))
         model = BayesianModel(kind="poisson", dataset=Dataset([[-800.0]], [3.0]), prior=prior)
+        assert model.log_likelihood_matrix(np.array([1.0, 0.0]))[0, 0] == -np.inf
         with pytest.raises(LikelihoodError, match="index 0"):
-            model.log_likelihood(0, np.array([1.0, 0.0]))
+            build_projection(model, GaussianDist([1.0, 0.0], np.eye(2)), 10, seed=0)
 
 
 class TestLogJoint:
@@ -320,8 +328,7 @@ class TestBuildProjection:
         # a zero feature row makes that point's likelihood constant in theta
         prior = GaussianDist(np.zeros(1), np.eye(1))
         model = BayesianModel(kind="linear_regression",
-                              dataset=Dataset([[0.0], [1.0]], [0.5, 0.2]),
-                              prior=prior, noise_var=0.7)
+                              dataset=Dataset([[0.0], [1.0]], [0.5, 0.2]), prior=prior)
         proj = build_projection(model, prior, 200, seed=0)
         assert not proj.phi[:, 0].any()
         assert proj.phi[:, 1].any()
@@ -335,7 +342,7 @@ class TestBuildProjection:
         y = rng.standard_normal(300)
         x[17] = 0.0
         model = BayesianModel(kind="linear_regression", dataset=Dataset(x, y),
-                              prior=GaussianDist(np.zeros(3), np.eye(3)), noise_var=1.0)
+                              prior=GaussianDist(np.zeros(3), np.eye(3)))
         proj = build_projection(model, full_data_posterior(model), 400, (5, 0, 1))
         assert not proj.phi[:, 17].any()
         assert np.all(np.delete(proj.phi, 17, axis=1).any(axis=0))
@@ -354,8 +361,7 @@ class TestBuildProjection:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 2))
         base = gaussian_mean_model(x)
-        shifted = ShiftedModel(kind="gaussian_mean", dataset=base.dataset,
-                               prior=base.prior, obs_cov=base.obs_cov)
+        shifted = ShiftedModel(kind="gaussian_mean", dataset=base.dataset, prior=base.prior)
         p1 = build_projection(base, base.prior, 300, seed=3)
         p2 = build_projection(shifted, base.prior, 300, seed=3)
         np.testing.assert_allclose(p1.phi, p2.phi, atol=1e-12)
@@ -363,15 +369,15 @@ class TestBuildProjection:
     def test_column_norm_matches_analytic_variance(self):
         # 1-D model: the likelihood is a Gaussian quadratic in theta, whose
         # variance under the weighting distribution is closed-form
-        x_i, m, s2, obs2 = 1.7, 0.4, 0.8, 1.3
-        model = gaussian_mean_model([[x_i]], obs_cov=np.array([[obs2]]))
+        x_i, m, s2 = 1.7, 0.4, 0.8
+        model = gaussian_mean_model([[x_i]])
         pi_hat = GaussianDist([m], [[s2]])
         s_count = 100_000
         proj = build_projection(model, pi_hat, s_count, seed=11)
         col = proj.phi[:, 0]
         norm2 = float(col @ col)
         delta = x_i - m
-        analytic = (s2 ** 2 + 2 * delta ** 2 * s2) / (2 * obs2 ** 2)
+        analytic = (s2 ** 2 + 2 * delta ** 2 * s2) / 2
         centered = col * np.sqrt(s_count)
         m4 = float(np.mean(centered ** 4))
         var = float(np.mean(centered ** 2))
@@ -460,12 +466,10 @@ def reference_log_likelihoods(model, thetas):
     """
     x, y = model.dataset.x, model.dataset.y
     if model.kind == "gaussian_mean":
-        _, logdet = np.linalg.slogdet(model.obs_cov)
-        norm_const = -0.5 * (x.shape[1] * np.log(2 * np.pi) + logdet)
-        xp = x @ model.obs_prec
-        xq = np.einsum("nd,nd->n", xp, x)
-        tq = np.einsum("sd,sd->s", thetas @ model.obs_prec, thetas)
-        cross = (xp @ thetas.T).T
+        norm_const = -0.5 * x.shape[1] * np.log(2 * np.pi)
+        xq = np.einsum("nd,nd->n", x, x)
+        tq = np.einsum("sd,sd->s", thetas, thetas)
+        cross = (x @ thetas.T).T
         return norm_const - 0.5 * (xq[None, :] - 2.0 * cross + tq[:, None])
     if model.kind == "linear_regression":
         norm_const = -0.5 * np.log(2 * np.pi * model.noise_var)
@@ -498,12 +502,8 @@ def projection_model(kind, n=300):
         return synth_glm_dataset(kind, n, d=2, seed=5)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((n, 3))
-    prior = GaussianDist(np.zeros(3), np.eye(3))
-    if kind == "gaussian_mean":
-        return BayesianModel(kind=kind, dataset=Dataset(x, np.zeros(n)), prior=prior,
-                             obs_cov=np.diag([0.5, 1.0, 2.0]))
-    return BayesianModel(kind=kind, dataset=Dataset(x, rng.standard_normal(n)),
-                         prior=prior, noise_var=0.7)
+    y = np.zeros(n) if kind == "gaussian_mean" else rng.standard_normal(n)
+    return BayesianModel(kind=kind, dataset=Dataset(x, y), prior=GaussianDist(np.zeros(3), np.eye(3)))
 
 
 class TestProjectionInPlace:
@@ -613,7 +613,7 @@ class TestBlockedBuild:
     # of one sign, the opposite sign for each row, so the row-major first bad
     # entry lies in the late row's block.
     BAD = {"gaussian_mean": (([1e200, 0.0, 0.0], 0.0), ([1e200, 0.0, 0.0], 0.0)),
-           "linear_regression": (([0.0, 0.0, 0.0], 1e200), ([0.0, 0.0, 0.0], 1e200)),
+           "linear_regression": (([1e200, 0.0, 0.0], 0.0), ([1e200, 0.0, 0.0], 0.0)),
            "logistic": (([-1e308, 0.0], 1.0), ([1e308, 0.0], 1.0)),
            "poisson": (([-800.0, 0.0], 3.0), ([800.0, 0.0], 3.0))}
 
@@ -623,8 +623,7 @@ class TestBlockedBuild:
         x, y = np.array(base.dataset.x), np.array(base.dataset.y)
         early, late = 700, 4500  # in blocks 1 and 8
         (x[early], y[early]), (x[late], y[late]) = self.BAD[kind]
-        model = BayesianModel(kind=kind, dataset=Dataset(x, y), prior=base.prior,
-                              noise_var=base.noise_var, obs_cov=base.obs_cov)
+        model = BayesianModel(kind=kind, dataset=Dataset(x, y), prior=base.prior)
         pi_hat = GaussianDist(np.zeros(model.theta_dim), 4.0 * np.eye(model.theta_dim))
         thetas = pi_hat.sample(np.random.default_rng((5, 0, 1)), self.S)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -751,7 +750,7 @@ class TestConjugatePosterior:
         post = conjugate_posterior(model, w)
         consts = []
         for theta in (-1.0, -0.3, 0.2, 0.9, 1.6):
-            weighted_lik = sum(w[i] * model.log_likelihood(i, [theta]) for i in range(5))
+            weighted_lik = float(w @ model.log_likelihood_matrix([theta])[0])
             consts.append(post.logpdf([theta]) - model.prior.logpdf([theta]) - weighted_lik)
         assert max(consts) - min(consts) <= 1e-8
 
@@ -760,13 +759,13 @@ class TestConjugatePosterior:
         b = rng.standard_normal((7, 2))
         y = rng.standard_normal(7)
         prior = GaussianDist(np.array([0.3, -0.2]), 1.5 * np.eye(2))
-        model = BayesianModel(kind="linear_regression", dataset=Dataset(b, y),
-                              prior=prior, noise_var=0.6)
+        model = BayesianModel(kind="linear_regression", dataset=Dataset(b, y), prior=prior)
         w = rng.uniform(0.0, 2.0, size=7)
         post = conjugate_posterior(model, w)
-        prec = np.linalg.inv(prior.cov) + (b.T * w) @ b / 0.6
+        noise_var = float(np.var(y))
+        prec = np.linalg.inv(prior.cov) + (b.T * w) @ b / noise_var
         cov = np.linalg.inv(prec)
-        mean = cov @ (np.linalg.inv(prior.cov) @ prior.mean + b.T @ (w * y) / 0.6)
+        mean = cov @ (np.linalg.inv(prior.cov) @ prior.mean + b.T @ (w * y) / noise_var)
         np.testing.assert_allclose(post.cov, cov, atol=1e-10)
         np.testing.assert_allclose(post.mean, mean, atol=1e-10)
 
@@ -1063,6 +1062,14 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("x0,target\noops,1\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_csv_dataset(path)
+
+    @pytest.mark.parametrize("row", ["nan,1", "0.5,inf", "-1e999,1"])
+    def test_non_finite_reports_line(self, tmp_path, row):
+        # float() reads these, so only the loader's own check names the line.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,target\n1.0,1\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: non-finite field$"):
             load_csv_dataset(path)
 
     def test_write_read_identity(self, tmp_path):
