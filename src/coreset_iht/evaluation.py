@@ -87,8 +87,8 @@ class RipConstants:
     """Per-sparsity-level squared restricted singular-value bounds of phi.
 
     ``alpha[s]`` is the smallest and ``beta[s]`` the largest eigenvalue of
-    any s-column Gram submatrix; alpha is non-increasing and beta
-    non-decreasing in s.
+    any s-column Gram submatrix, at strictly increasing levels; alpha is
+    non-increasing and beta non-decreasing in s.
     """
 
     levels: tuple
@@ -98,10 +98,9 @@ class RipConstants:
     def __post_init__(self):
         if not (len(self.levels) == len(self.alpha) == len(self.beta)):
             raise ValueError("levels/alpha/beta length mismatch")
-        order = np.argsort(self.levels)
-        lv = [self.levels[i] for i in order]
-        al = [self.alpha[i] for i in order]
-        be = [self.beta[i] for i in order]
+        lv, al, be = self.levels, self.alpha, self.beta
+        if any(lv[i] >= lv[i + 1] for i in range(len(lv) - 1)):
+            raise ValueError(f"levels must be strictly increasing, got {lv}")
         for a, b in zip(al, be):
             if not (0 <= a <= b):
                 raise ValueError("need 0 <= alpha_s <= beta_s at every level")
@@ -109,34 +108,45 @@ class RipConstants:
             raise ValueError("alpha must be non-increasing in s")
         if any(be[i] > be[i + 1] + 1e-12 for i in range(len(be) - 1)):
             raise ValueError("beta must be non-decreasing in s")
-        object.__setattr__(self, "levels", tuple(lv))
-        object.__setattr__(self, "alpha", tuple(al))
-        object.__setattr__(self, "beta", tuple(be))
+
+    def _index(self, s: int) -> int:
+        if s not in self.levels:
+            raise ValueError(f"no isometry constants at level {s}")
+        return self.levels.index(s)
 
     def alpha_at(self, s: int) -> float:
-        return self.alpha[self.levels.index(s)]
+        return self.alpha[self._index(s)]
 
     def beta_at(self, s: int) -> float:
-        return self.beta[self.levels.index(s)]
+        return self.beta[self._index(s)]
 
     def to_dict(self) -> dict:
         return {"levels": list(self.levels), "alpha": list(self.alpha),
                 "beta": list(self.beta)}
 
 
-def estimate_rip(problem: SparseRegressionProblem, levels,
-                 budget: int = DEFAULT_ENUMERATION_BUDGET) -> RipConstants:
-    """Exhaustive restricted-isometry constants per sparsity level.
+def isometry_levels(k: int, n: int) -> tuple:
+    """The sparsity levels (k, 2k, 3k, 4k) whose isometry constants the
+    error bound uses, each clamped at n (an s-sparse set with s >= n is all
+    of R^n)."""
+    return tuple(min(m * k, n) for m in (1, 2, 3, 4))
 
-    For each s, enumerates every support of size s and takes the extreme
-    eigenvalues of the corresponding Gram submatrix. Refuses (no sampling
-    fallback) when any level would enumerate more than ``budget`` supports.
+
+def estimate_rip(problem: SparseRegressionProblem, k: int,
+                 budget: int = DEFAULT_ENUMERATION_BUDGET) -> RipConstants:
+    """Exhaustive restricted-isometry constants at the levels the error bound
+    of a k-sparse solve reads, ``isometry_levels(k, n)`` without repeats.
+
+    For each level s, enumerates every support of size s and takes the
+    extreme eigenvalues of the corresponding Gram submatrix. Refuses (no
+    sampling fallback) when any level would enumerate more than ``budget``
+    supports.
     """
     n = problem.n
-    levels = sorted(set(int(s) for s in levels))
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    levels = sorted(set(isometry_levels(k, n)))
     for s in levels:
-        if not 1 <= s <= n:
-            raise ValueError(f"level {s} out of range [1, {n}]")
         count = math.comb(n, s)
         if count > budget:
             raise EnumerationBudgetError(
@@ -239,13 +249,6 @@ def brute_force_optimum(problem: SparseRegressionProblem, k: int,
 
 # -- solver error-bound verification ----------------------------------------
 
-def isometry_levels(k: int, n: int) -> tuple:
-    """The sparsity levels (k, 2k, 3k, 4k) whose isometry constants the
-    error bound uses, each clamped at n (an s-sparse set with s >= n is all
-    of R^n)."""
-    return tuple(min(m * k, n) for m in (1, 2, 3, 4))
-
-
 def contraction_factor(rip: RipConstants, k: int, n: int) -> float:
     """Per-iteration contraction constant from the isometry bounds.
 
@@ -267,58 +270,8 @@ def decay_rate(contraction: float, momentum_max: float) -> float:
     return (r * (1.0 + t) + math.sqrt((r * (1.0 + t)) ** 2 + 4.0 * r * t)) / 2.0
 
 
-@dataclass(frozen=True)
-class InvariantEntry:
-    iteration: int
-    error: float      # ||w_{t+1} - w*||
-    bound: float      # contraction/momentum bound plus the residual term
-    satisfied: bool
-
-    def to_dict(self) -> dict:
-        return {"iteration": self.iteration, "error": self.error,
-                "bound": self.bound, "satisfied": self.satisfied}
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """Per-iteration error-bound check of an accelerated solve.
-
-    ``linear_rate`` flags the regime where the two-step recurrence contracts
-    (contraction < 1 / (1 + 2 momentum_max)); in that regime (and with zero
-    optimal residual) ``decay_rate`` upper-bounds the geometric objective
-    decay per iteration.
-    """
-
-    entries: tuple
-    contraction: float
-    rate: float
-    momentum_max: float
-    residual_norm: float
-    objectives: tuple
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(e.satisfied for e in self.entries)
-
-    @property
-    def linear_rate(self) -> bool:
-        return self.contraction < 1.0 / (1.0 + 2.0 * self.momentum_max)
-
-    def to_dict(self) -> dict:
-        return {
-            "contraction": self.contraction,
-            "rate": self.rate,
-            "momentum_max": self.momentum_max,
-            "residual_norm": self.residual_norm,
-            "linear_rate": self.linear_rate,
-            "all_satisfied": self.all_satisfied,
-            "objectives": list(self.objectives),
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
-
 def check_iterative_invariant(problem: SparseRegressionProblem, cfg: SolverConfig,
-                              w_star: WeightVector, rip: RipConstants) -> InvariantReport:
+                              w_star: WeightVector, rip: RipConstants) -> dict:
     """Run the accelerated solver and verify its per-iteration error bound.
 
     With e_t = ||w_t - w*||, each iteration must satisfy
@@ -329,17 +282,23 @@ def check_iterative_invariant(problem: SparseRegressionProblem, cfg: SolverConfi
     where tau_t is the momentum coefficient that produced the iteration's
     momentum iterate and rho the contraction factor from the isometry
     constants. ``w_star`` must be the global optimum (use the brute-force
-    search) and ``rip`` must cover ``isometry_levels(k, n)``.
+    search) and ``rip`` must hold ``isometry_levels(k, n)``, as
+    ``estimate_rip(problem, k)`` does.
+
+    Returns the report ``theory_check.json`` stores: ``contraction`` (rho),
+    ``rate``, ``momentum_max`` (the largest |tau_t|), ``residual_norm``
+    (||y - phi w*||), ``linear_rate``, ``all_satisfied``, the solve's
+    ``objectives`` and one entry ``{iteration, error, bound, satisfied}``
+    per iteration. ``linear_rate`` flags the regime where the two-step
+    recurrence contracts (contraction < 1 / (1 + 2 momentum_max)); in that
+    regime (and with zero optimal residual) ``rate``, the ``decay_rate``,
+    upper-bounds the geometric objective decay per iteration.
     """
     n = problem.n
     k = cfg.k
-    levels = isometry_levels(k, n)
-    for level in levels:
-        if level not in rip.levels:
-            raise ValueError(f"rip constants missing level {level}")
     rho = contraction_factor(rip, k, n)
-    b2 = rip.beta_at(levels[1])
-    b3 = rip.beta_at(levels[2])
+    _, l2, l3, _ = isometry_levels(k, n)
+    b2, b3 = rip.beta_at(l2), rip.beta_at(l3)
     ws = _as_weights(w_star)
     resid = problem.y - problem.phi @ ws
     eps_norm = float(np.linalg.norm(resid))
@@ -358,16 +317,19 @@ def check_iterative_invariant(problem: SparseRegressionProblem, cfg: SolverConfi
         bound = rho * abs(1.0 + tau_t) * errors[t] + rho * abs(tau_t) * err_prev2 + noise_term
         err = errors[t + 1]
         satisfied = err <= bound * (1.0 + 1e-9) + 1e-12
-        entries.append(InvariantEntry(t, err, bound, satisfied))
-    momentum_max = max(abs(t) for t in taus) if taus else 0.0
-    return InvariantReport(
-        entries=tuple(entries),
-        contraction=rho,
-        rate=decay_rate(rho, momentum_max),
-        momentum_max=momentum_max,
-        residual_norm=eps_norm,
-        objectives=tuple(r.f for r in trace.records),
-    )
+        entries.append({"iteration": t, "error": err, "bound": bound,
+                        "satisfied": satisfied})
+    momentum_max = max(abs(t) for t in taus)
+    return {
+        "contraction": rho,
+        "rate": decay_rate(rho, momentum_max),
+        "momentum_max": momentum_max,
+        "residual_norm": eps_norm,
+        "linear_rate": rho < 1.0 / (1.0 + 2.0 * momentum_max),
+        "all_satisfied": all(e["satisfied"] for e in entries),
+        "objectives": [r.f for r in trace.records],
+        "entries": entries,
+    }
 
 
 # -- synthetic instances for the theory machinery ----------------------------

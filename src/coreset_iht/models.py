@@ -238,9 +238,9 @@ class BayesianModel:
 
     The targets are checked against the kind's label domain. The prior
     precision, a linear_regression model's noise variance (the targets'
-    variance, or 1 when the targets are constant) and a Poisson model's
-    log y_i! are derived once. A gaussian_mean model's observation
-    covariance is the identity.
+    variance, or 1 when the targets are constant; refused when it overflows)
+    and a Poisson model's log y_i! are derived once. A gaussian_mean model's
+    observation covariance is the identity.
     """
 
     kind: str
@@ -255,7 +255,12 @@ class BayesianModel:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         _validate_labels(self.kind, self.dataset.y)
         if self.kind == "linear_regression":
-            object.__setattr__(self, "noise_var", float(np.var(self.dataset.y)) or 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                noise_var = float(np.var(self.dataset.y)) or 1.0
+            if not math.isfinite(noise_var):
+                raise ValueError("linear_regression noise variance (the targets' "
+                                 "variance) is not finite")
+            object.__setattr__(self, "noise_var", noise_var)
         elif self.kind == "poisson":
             log_fact = [math.lgamma(v + 1.0) for v in self.dataset.y]
             object.__setattr__(self, "log_factorial_y", _frozen_array(np.array(log_fact)))

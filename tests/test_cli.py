@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import coreset_iht
-from coreset_iht import (EnumerationBudgetError, SparseRegressionProblem, cli, gradient,
-                         load_csv_dataset, models, objective)
+from coreset_iht import (EnumerationBudgetError, SparseRegressionProblem, brute_force_optimum,
+                         check_iterative_invariant, cli, estimate_rip, gradient,
+                         load_csv_dataset, make_planted_problem, models, objective)
 from coreset_iht.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -396,6 +397,25 @@ class TestTheoryCheck:
         assert payload["report"]["all_satisfied"] is True
         assert payload["brute_force_objective"] <= 1e-16
         assert set(payload["rip"]["levels"]) == {2, 4, 6, 8}
+
+    def test_repeat_writes_the_same_bytes(self, tmp_path):
+        cfg = tiny_config(tmp_path, n_data=10, k_list=[2], s_count=30, seed=3)
+        path, _ = run_theory_check(cfg)
+        first = path.read_bytes()
+        assert run_theory_check(cfg)[0].read_bytes() == first
+
+    def test_report_is_the_library_dict(self, tmp_path):
+        # Clamped levels: 3k and 4k exceed n = 6.
+        cfg = tiny_config(tmp_path, n_data=6, k_list=[2], s_count=20, seed=1)
+        path, satisfied = run_theory_check(cfg)
+        payload = json.loads(path.read_text())
+        assert payload["rip"]["levels"] == [2, 4, 6]
+        problem, _ = make_planted_problem(6, 20, 2, 1)
+        w_star, _ = brute_force_optimum(problem, 2)
+        report = check_iterative_invariant(problem, cli._solver_config(cfg, 2), w_star,
+                                           estimate_rip(problem, 2))
+        assert payload["report"] == report
+        assert satisfied is report["all_satisfied"]
 
     def test_budget_refusal(self, tmp_path):
         cfg = tiny_config(tmp_path, n_data=8, k_list=[2], s_count=30, rip_budget=1)
@@ -1063,6 +1083,23 @@ def test_csv_label_outside_the_kind_exits_one(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: logistic labels must be in {-1, +1}\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", [["gen-data"], ["sweep", "--k", "2", "--s-count", "20"]],
+                         ids=["gen-data", "sweep"])
+def test_overflowing_target_variance_exits_one_without_a_traceback(tmp_path, capsys, command):
+    # The squares of +-1e200 overflow, so the linear_regression noise
+    # variance, the targets' variance, is refused before any output exists.
+    data_path = tmp_path / "big.csv"
+    data_path.write_text("x0,y\n0.5,1e200\n-0.5,-1e200\n1.0,1e200\n2.0,-1e200\n")
+    outdir = tmp_path / "out"
+    assert main([*command, "--experiment", "csv", "--csv-path", str(data_path),
+                 "--csv-kind", "linear_regression", "--outdir", str(outdir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: linear_regression noise variance (the targets' variance) "
+                            "is not finite\n")
     assert not outdir.exists()
 
 

@@ -30,6 +30,8 @@ from coreset_iht import (
     synth_gaussian_dataset,
 )
 
+from coreset_iht.evaluation import isometry_levels
+
 from conftest import radial_basis_prior_and_posterior
 
 
@@ -156,14 +158,14 @@ class TestMapDistance:
 class TestRipConstants:
     def test_identity_matrix(self):
         p = SparseRegressionProblem(np.eye(4), np.ones(4))
-        rip = estimate_rip(p, [1, 2, 3, 4])
+        rip = estimate_rip(p, 1)
         for s in (1, 2, 3, 4):
             assert rip.alpha_at(s) == pytest.approx(1.0, abs=1e-12)
             assert rip.beta_at(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_singular_values(self):
         p = SparseRegressionProblem(np.diag([1.0, 2.0]), np.ones(2))
-        rip = estimate_rip(p, [1])
+        rip = estimate_rip(p, 1)
         assert rip.alpha_at(1) == pytest.approx(1.0, abs=1e-12)
         assert rip.beta_at(1) == pytest.approx(4.0, abs=1e-12)
 
@@ -171,7 +173,7 @@ class TestRipConstants:
         rng = np.random.default_rng(6)
         phi = rng.standard_normal((6, 8))
         p = SparseRegressionProblem(phi, rng.standard_normal(6))
-        rip = estimate_rip(p, [2])
+        rip = estimate_rip(p, 2)
         lo, hi = np.inf, -np.inf
         for support in itertools.combinations(range(8), 2):
             sub = phi[:, support]
@@ -185,12 +187,12 @@ class TestRipConstants:
         rng = np.random.default_rng(7)
         p = SparseRegressionProblem(rng.standard_normal((4, 8)), np.zeros(4))
         with pytest.raises(EnumerationBudgetError):
-            estimate_rip(p, [2], budget=10)
+            estimate_rip(p, 2, budget=10)
 
     def test_monotone_in_level(self):
         rng = np.random.default_rng(8)
         p = SparseRegressionProblem(rng.standard_normal((12, 7)), np.zeros(12))
-        rip = estimate_rip(p, [1, 2, 3, 4, 5])
+        rip = estimate_rip(p, 1)
         assert list(rip.alpha) == sorted(rip.alpha, reverse=True)
         assert list(rip.beta) == sorted(rip.beta)
 
@@ -198,7 +200,7 @@ class TestRipConstants:
         rng = np.random.default_rng(9)
         phi = rng.standard_normal((15, 9))
         p = SparseRegressionProblem(phi, np.zeros(15))
-        rip = estimate_rip(p, [2, 3])
+        rip = estimate_rip(p, 1)
         for s in (2, 3):
             lo, hi = rip.alpha_at(s), rip.beta_at(s)
             for _ in range(10_000):
@@ -208,11 +210,33 @@ class TestRipConstants:
                 ratio = float(np.linalg.norm(phi @ v) ** 2 / (v @ v))
                 assert lo - 1e-9 <= ratio <= hi + 1e-9
 
+    @pytest.mark.parametrize("k,n,levels", [
+        (2, 10, (2, 4, 6, 8)),
+        (2, 6, (2, 4, 6)),
+        (4, 4, (4,)),
+    ], ids=["unclamped", "clamped", "k_equals_n"])
+    def test_levels_are_the_bounds(self, k, n, levels):
+        rng = np.random.default_rng(11)
+        p = SparseRegressionProblem(rng.standard_normal((12, n)), np.zeros(12))
+        rip = estimate_rip(p, k)
+        assert rip.levels == levels == tuple(sorted(set(isometry_levels(k, n))))
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_k_out_of_range(self, k):
+        p = SparseRegressionProblem(np.eye(4), np.ones(4))
+        with pytest.raises(ValueError, match=rf"k must be in \[1, 4\], got {k}"):
+            estimate_rip(p, k)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RipConstants((1, 2), (0.5, 1.0), (1.0, 2.0))  # alpha increasing
         with pytest.raises(ValueError):
             RipConstants((1,), (2.0,), (1.0,))  # alpha > beta
+
+    @pytest.mark.parametrize("levels", [(2, 1), (1, 1)], ids=["out_of_order", "repeated"])
+    def test_levels_strictly_increasing(self, levels):
+        with pytest.raises(ValueError, match="levels must be strictly increasing"):
+            RipConstants(levels, (1.0, 1.0), (1.0, 1.0))
 
     def test_json_round_trip(self):
         rip = RipConstants((1, 2), (2.0, 1.5), (3.0, 4.0))
@@ -342,6 +366,11 @@ class TestContractionFactor:
         # 2*max(1.2/0.8 - 1, 1 - 0.8/1.2) + (1.2 - 0.8)/0.8 = 2*0.5 + 0.5
         assert contraction_factor(rip, 2, 10) == pytest.approx(1.5, rel=1e-12)
 
+    def test_missing_level_named(self):
+        rip = RipConstants((2, 4), (0.8,) * 2, (1.2,) * 2)
+        with pytest.raises(ValueError, match="no isometry constants at level 6"):
+            contraction_factor(rip, 2, 10)
+
     def test_decay_rate_formula(self):
         rho, tau = 0.3, 0.2
         expected = (rho * 1.2 + math.sqrt((rho * 1.2) ** 2 + 4 * rho * tau)) / 2
@@ -349,63 +378,62 @@ class TestContractionFactor:
 
 
 class TestIterativeInvariant:
-    @staticmethod
-    def _levels(k, n):
-        return sorted({min(m * k, n) for m in (1, 2, 3, 4)})
-
     def test_fixed_point_at_origin(self):
         problem = SparseRegressionProblem(np.eye(4), np.zeros(4))
-        rip = estimate_rip(problem, self._levels(2, 4))
+        rip = estimate_rip(problem, 2)
         report = check_iterative_invariant(problem, SolverConfig(k=2),
                                            WeightVector(np.zeros(4)), rip)
-        assert report.all_satisfied
-        assert report.residual_norm == 0.0
-        assert report.entries[0].error == 0.0
+        assert report["all_satisfied"]
+        assert report["residual_norm"] == 0.0
+        assert report["entries"][0]["error"] == 0.0
 
     def test_missing_level_rejected(self):
         problem, _ = make_planted_problem(8, 20, 2, seed=1)
-        rip = estimate_rip(problem, [2, 4])
-        with pytest.raises(ValueError):
+        rip = estimate_rip(problem, 1)  # levels 1..4, not k = 2's 6 and 8
+        with pytest.raises(ValueError, match="no isometry constants at level 6"):
             check_iterative_invariant(problem, SolverConfig(k=2),
                                       WeightVector(np.zeros(8)), rip)
 
     def test_holds_on_certified_instances(self):
         for seed in range(20):
             problem, _ = make_planted_problem(10, 30, 2, seed=seed)
-            rip = estimate_rip(problem, self._levels(2, 10))
+            rip = estimate_rip(problem, 2)
             w_star, f_star = brute_force_optimum(problem, 2)
             assert f_star <= 1e-16
             cfg = SolverConfig(k=2, rel_tol=1e-12)
             report = check_iterative_invariant(problem, cfg, w_star, rip)
-            assert report.all_satisfied
-            assert report.contraction >= 0 and report.rate >= 0
+            assert report["all_satisfied"]
+            assert report["contraction"] >= 0 and report["rate"] >= 0
 
     def test_linear_rate_regime_and_decay_envelope(self):
         hit_regime = 0
         for seed in range(8):
             problem, _ = make_planted_problem(10, 30, 2, seed=seed,
                                               near_orthonormal=True)
-            rip = estimate_rip(problem, self._levels(2, 10))
+            rip = estimate_rip(problem, 2)
             w_star, _ = brute_force_optimum(problem, 2)
             cfg = SolverConfig(k=2, rel_tol=1e-12)
             report = check_iterative_invariant(problem, cfg, w_star, rip)
-            assert report.all_satisfied
-            if not report.linear_rate:
+            assert report["all_satisfied"]
+            if not report["linear_rate"]:
                 continue
             hit_regime += 1
-            fs = np.array(report.objectives)
+            fs = np.array(report["objectives"])
             ts = np.flatnonzero(fs > 0)
             if ts.size >= 3:
                 slope = np.polyfit(ts, np.log(fs[ts]), 1)[0]
-                assert slope <= math.log(report.rate) + 0.1
+                assert slope <= math.log(report["rate"]) + 0.1
         assert hit_regime >= 4
 
     def test_report_json(self):
         problem, _ = make_planted_problem(8, 20, 2, seed=2)
-        rip = estimate_rip(problem, self._levels(2, 8))
+        rip = estimate_rip(problem, 2)
         w_star, _ = brute_force_optimum(problem, 2)
         report = check_iterative_invariant(problem, SolverConfig(k=2), w_star, rip)
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert set(payload) == {"contraction", "rate", "momentum_max", "residual_norm",
-                                "linear_rate", "all_satisfied", "objectives", "entries"}
-        assert list(payload["entries"][0]) == ["iteration", "error", "bound", "satisfied"]
+        assert list(report) == ["contraction", "rate", "momentum_max", "residual_norm",
+                                "linear_rate", "all_satisfied", "objectives", "entries"]
+        assert list(report["entries"][0]) == ["iteration", "error", "bound", "satisfied"]
+        assert report["all_satisfied"] is all(e["satisfied"] for e in report["entries"])
+        assert report["linear_rate"] is (
+            report["contraction"] < 1.0 / (1.0 + 2.0 * report["momentum_max"]))
+        assert json.loads(json.dumps(report)) == report

@@ -185,6 +185,13 @@ class TestModelValidation:
         assert model.noise_var == noise_var
         assert standard_model("gaussian_mean", Dataset([[1.0]], [0.0])).noise_var is None
 
+    def test_linear_regression_overflowing_variance_refused(self):
+        # The squares of +-1e200 overflow, so the targets' variance is inf.
+        data = Dataset([[0.5], [-0.5], [1.0], [2.0]], [1e200, -1e200, 1e200, -1e200])
+        with pytest.raises(ValueError, match=r"noise variance \(the targets' variance\) "
+                                             "is not finite"):
+            standard_model("linear_regression", data)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_model_is_its_kind_data_and_prior(self, kind):
         # Nothing else is an argument: the observation covariance is I and

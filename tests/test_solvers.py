@@ -165,7 +165,7 @@ class TestVanillaIht:
 
     def test_exact_recovery_with_rip_step(self):
         problem, w_star = small_recovery_instance()
-        rip = estimate_rip(problem, [6])
+        rip = estimate_rip(problem, 2)
         step = 1.0 / (2.0 * rip.beta_at(6))
         cfg = SolverConfig(k=2, rel_tol=1e-14, max_iters=20000)
         w, trace = solve_vanilla_iht(problem, cfg, step)
@@ -230,7 +230,7 @@ class TestAiht:
         w_opt, _ = brute_force_optimum(problem, 2)
         assert w.support.tolist() == w_opt.support.tolist()
         np.testing.assert_allclose(w.w, w_star, atol=1e-8)
-        rip = estimate_rip(problem, [6])
+        rip = estimate_rip(problem, 2)
         _, vanilla_trace = solve_vanilla_iht(problem, cfg, 1.0 / (2.0 * rip.beta_at(6)))
         assert len(trace) < len(vanilla_trace)
 
@@ -267,7 +267,7 @@ class TestAiht:
         rng = np.random.default_rng(5)
         problem, _ = recovery_problem(rng, 30, 10, 2)
         k = 2
-        rip = estimate_rip(problem, [min(3 * k, problem.n)])
+        rip = estimate_rip(problem, k)
         lo = 1.0 / (2.0 * rip.beta_at(6))
         hi = 1.0 / (2.0 * rip.alpha_at(6))
         assert rip.alpha_at(6) > 0
