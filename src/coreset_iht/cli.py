@@ -242,7 +242,8 @@ def _run_trial(cfg: ExperimentConfig, trial: int, config: dict) -> list:
             run["values"] = [float(v) for v in weights.w[weights.support]]
             if trace is not None:
                 run["termination"] = trace.termination.value
-                run["objective"] = trace.records[-1].f
+                # The solver returns the first iterate of least f.
+                run["objective"] = min(r.f for r in trace.records)
                 run["trace"] = trace.to_dict()
         except Exception as exc:  # per-run failures recorded, sweep continues
             run["error"] = f"{type(exc).__name__}: {exc}"

@@ -47,16 +47,30 @@ vectors it made itself, so it skips the NaN check of the public top-k
 helpers. So an iteration costs one gradient plus the O(n) passes and the
 per-call overhead of the numpy calls; the README quotes measured times.
 
+An accelerated solve ends at the first of four tests: ``converged`` when the
+iterate moves by at most ``rel_tol`` of its norm, ``stalled`` after two zero
+steps in a row, ``cycled`` after ``CYCLE_PATIENCE`` iterations in a row
+whose supp(w) this solve has already visited and whose f is not strictly
+below the trace minimum, and ``max_iters`` at the cap. The cycle test comes
+after the other two, so a solve that converges or stalls reports that. It
+reads the support tuple and f each trace record already holds, plus a set
+of the supports visited. Radial-basis solves cycle among 3-4 supports
+long before the cap, and neither other test sees it. Every solver, vanilla
+included, returns the first iterate with the trace-minimum f, whatever ended
+the solve: the momentum step makes f non-monotone, so the last iterate can
+be worse. The trace still records every iteration.
+
 ``solve_aiht_batched`` swaps the exact gradient for an unbiased two-mask
 stochastic estimator so large problems can run on data batches. Along a
 stochastic direction the step is the exact minimizer of the objective on
 that line (``step_along``), clipped at 0, since ``line_search_step`` is a
 minimizer only for the exact restricted gradient. The first stochastic step
 that is small (the ``rel_tol`` test) or stalled (step 0) switches the run to
-the exact gradient for the rest of the solve, so ``converged`` and
-``stalled`` are only ever reported from exact-gradient steps. With
-``batch_fraction=1`` the estimator is the exact gradient and the solve is
-``solve_aiht``, bit for bit.
+the exact gradient for the rest of the solve, so ``converged``, ``stalled``
+and ``cycled`` are only ever reported from exact-gradient steps, and no
+stochastic step counts toward a cycle. With ``batch_fraction=1`` the
+estimator is the exact gradient and the solve is ``solve_aiht``, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -85,12 +99,16 @@ from .problem import (
 
 DEFAULT_MAX_ITERS = 300
 DEFAULT_MAX_ITERS_BATCHED = 500
+# Exact-gradient iterations in a row that revisit a support without going
+# below the trace minimum before an accelerated solve stops as ``cycled``.
+CYCLE_PATIENCE = 10
 
 
 class Termination(str, Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
     STALLED = "stalled"
+    CYCLED = "cycled"
 
 
 class DivergenceError(RuntimeError):
@@ -311,8 +329,9 @@ def solve_vanilla_iht(problem: SparseRegressionProblem, cfg: SolverConfig,
                       step: float):
     """Fixed-step projected gradient descent onto the k-sparse cone.
 
-    Raises ``DivergenceError`` when the projected step or the objective
-    turns non-finite, which a bad fixed step can cause.
+    Returns the first iterate with the trace-minimum f. Raises
+    ``DivergenceError`` when the projected step or the objective turns
+    non-finite, which a bad fixed step can cause.
     """
     if not 0 < step < np.inf:
         raise ValueError(f"step must be > 0 and finite, got {step}")
@@ -320,6 +339,7 @@ def solve_vanilla_iht(problem: SparseRegressionProblem, cfg: SolverConfig,
         raise ValueError(f"k={cfg.k} exceeds problem size n={problem.n}")
     max_iters = cfg.max_iters or DEFAULT_MAX_ITERS
     w = np.zeros(problem.n)
+    best_w, best_f = w, math.inf
     records = []
     termination = Termination.MAX_ITERS
     # Overflow is an expected outcome of a bad fixed step; the isfinite
@@ -337,12 +357,14 @@ def solve_vanilla_iht(problem: SparseRegressionProblem, cfg: SolverConfig,
             ns = time.perf_counter_ns() - t0
             support = selected[values != 0.0]
             records.append(TraceRecord(t, f, step, 0.0, tuple(support.tolist()), ns))
+            if f < best_f:
+                best_w, best_f = w_next, f
             done = _converged(w_next, w, cfg.rel_tol)
             w = w_next
             if done:
                 termination = Termination.CONVERGED
                 break
-    return WeightVector(w), SolverTrace(records, termination)
+    return WeightVector(best_w), SolverTrace(records, termination)
 
 
 def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
@@ -377,9 +399,11 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
     z = np.zeros(n)
     w_support = z_support = np.zeros(0, dtype=np.int64)
     cols = _Columns(problem.phi, z_support)
+    best_w, best_f = w, math.inf
+    visited = set()
     records = []
     termination = Termination.MAX_ITERS
-    stall_run = 0
+    stall_run = cycle_run = 0
 
     for t in range(max_iters):
         t0 = time.perf_counter_ns()
@@ -443,7 +467,13 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
         # w_next and z_next are zero outside the gathered columns.
         w_next_support = cols.idx[w_next[cols.idx] != 0.0]
         ns = time.perf_counter_ns() - t0
-        records.append(TraceRecord(t, f, mu, tau, tuple(w_next_support.tolist()), ns))
+        record = TraceRecord(t, f, mu, tau, tuple(w_next_support.tolist()), ns)
+        records.append(record)
+        revisited = record.support in visited and f >= best_f
+        visited.add(record.support)
+        if f < best_f:
+            # w_next is a fresh array every iteration, so it is kept, not copied.
+            best_w, best_f = w_next, f
         if capture is not None:
             capture.append({
                 "z": z.copy(),
@@ -462,10 +492,12 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
         done = _converged(w_next, w, cfg.rel_tol)
         w, w_support = w_next, w_next_support
         z, z_support = z_next, cols.idx[z_next[cols.idx] != 0.0]
-        if gradient_fn is not None and (done or stalled_now):
+        if gradient_fn is not None:
             # A small or zero move along an estimate says nothing about
-            # stationarity; finish on the exact gradient.
-            gradient_fn = None
+            # stationarity; finish on the exact gradient. No stochastic step
+            # counts toward a stop.
+            if done or stalled_now:
+                gradient_fn = None
             continue
         if done:
             termination = Termination.CONVERGED
@@ -477,8 +509,12 @@ def _accelerated_iht(problem: SparseRegressionProblem, cfg: SolverConfig, *,
                 break
         else:
             stall_run = 0
+        cycle_run = cycle_run + 1 if revisited else 0
+        if cycle_run >= CYCLE_PATIENCE:
+            termination = Termination.CYCLED
+            break
 
-    return WeightVector(w), SolverTrace(records, termination)
+    return WeightVector(best_w), SolverTrace(records, termination)
 
 
 def solve_aiht(problem: SparseRegressionProblem, cfg: SolverConfig,
@@ -494,6 +530,9 @@ def solve_aiht(problem: SparseRegressionProblem, cfg: SolverConfig,
 
     A vanished restricted gradient image (||phi d|| = 0) sets the step to 0
     and counts the iteration as stalled; two consecutive stalls terminate.
+    ``CYCLE_PATIENCE`` iterations in a row that revisit a support without
+    going below the trace minimum end the solve as ``cycled``. The solve
+    returns the first iterate with the trace-minimum f, not the last.
     ``capture``, when given a list, receives per-iteration internals (used by
     the theory checker and the line-search certificates).
     """
@@ -529,10 +568,11 @@ def solve_aiht_batched(problem: SparseRegressionProblem, cfg: SolverConfig,
     clipped at 0: no step goes uphill or overshoots the line minimum. The
     first stochastic step that passes the ``rel_tol`` test or has step 0
     switches the solve to the exact gradient for all later iterations, so a
-    run reports ``converged`` or ``stalled`` only from exact-gradient steps,
-    and ``max_iters`` otherwise. With ``batch_fraction=1`` the masks would
-    be the identity, so no estimator is drawn: the solve runs on the exact
-    gradient and its trace matches ``solve_aiht`` exactly.
+    run reports ``converged``, ``stalled`` or ``cycled`` only from
+    exact-gradient steps, and ``max_iters`` otherwise. With
+    ``batch_fraction=1`` the masks would be the identity, so no estimator is
+    drawn: the solve runs on the exact gradient and its trace matches
+    ``solve_aiht`` exactly.
     """
     if not 0 < batch_fraction <= 1:
         raise ValueError(f"batch_fraction must be in (0, 1], got {batch_fraction}")

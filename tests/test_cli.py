@@ -339,6 +339,25 @@ class TestProblemSeam:
         assert len(problems) == cfg.trials
         assert all(p.phi is phi for p, phi in zip(problems, projections))
 
+    def test_radial_basis_run_records_the_objective_of_its_weights(self, tmp_path,
+                                                                    monkeypatch):
+        # Some of these solves stop ``cycled`` after their trace minimum, so
+        # the recorded objective is not the last iterate's f.
+        cfg = tiny_config(tmp_path, experiment="radial_basis", solver="aiht_debias",
+                          k_list=[5, 10], trials=2, n_data=120, s_count=60)
+        _, problems = self.sweep(monkeypatch, cfg)
+        before_the_end = 0
+        for trial, problem in enumerate(problems):
+            for k in cfg.k_list:
+                run = json.loads(
+                    (tmp_path / f"run_radial_basis_aiht_debias_k{k}_t{trial}.json").read_text())
+                w = np.zeros(problem.n)
+                w[run["support"]] = run["values"]
+                assert run["objective"] == pytest.approx(objective(problem, w), rel=1e-12, abs=0)
+                before_the_end += (run["termination"] == "cycled"
+                                   and run["objective"] < run["trace"]["records"][-1][1])
+        assert before_the_end
+
     def test_sweeps_make_the_traced_calls(self, tmp_path, monkeypatch):
         # perfbench --trace 1 rebinds these cli names and wraps
         # ProjectionSet.to_problem; a sweep that stopped calling one of them

@@ -72,22 +72,38 @@ class TestSolverConfig:
         with pytest.raises(TypeError):
             SolverConfig(k=1, **field)
 
-    def test_default_iteration_caps(self):
-        # A tall phi of condition number 1e6: no solver meets rel_tol 1e-15
-        # within its cap, so each runs to its own default, or to max_iters.
+    @staticmethod
+    def ill_conditioned_problem():
+        """A tall phi of condition number 1e6 with the coreset target."""
         rng = np.random.default_rng(0)
         u = np.linalg.qr(rng.standard_normal((20, 10)))[0]
         v = np.linalg.qr(rng.standard_normal((10, 10)))[0]
-        problem = SparseRegressionProblem.from_columns(u @ np.diag(np.logspace(0, -6, 10)) @ v.T)
+        return SparseRegressionProblem.from_columns(u @ np.diag(np.logspace(0, -6, 10)) @ v.T)
+
+    def test_default_iteration_caps(self):
+        # No solver meets rel_tol 1e-15 within its cap. At k = n every f
+        # falls strictly below the last, so no iteration counts toward a
+        # cycle, and each solver runs to its own default, or to max_iters.
+        problem = self.ill_conditioned_problem()
         solves = {"vanilla": partial(solve_vanilla_iht, step=0.1), "aiht": solve_aiht,
                   "aiht_debias": solve_aiht_debias,
                   "aiht_batched": partial(solve_aiht_batched, batch_fraction=0.5, seed=0)}
         for name, solve in solves.items():
             cap = 500 if name == "aiht_batched" else 300
-            _, trace = solve(problem, SolverConfig(k=5, rel_tol=1e-15))
+            _, trace = solve(problem, SolverConfig(k=10, rel_tol=1e-15))
             assert (len(trace), trace.termination) == (cap, Termination.MAX_ITERS), name
-            _, trace = solve(problem, SolverConfig(k=5, max_iters=7, rel_tol=1e-15))
+            assert np.all(np.diff(trace.objectives()) < 0), name
+            _, trace = solve(problem, SolverConfig(k=10, max_iters=7, rel_tol=1e-15))
             assert (len(trace), trace.termination) == (7, Termination.MAX_ITERS), name
+
+    def test_cycle_stops_below_the_cap(self):
+        # At k = 5 the batched solve revisits supports without lowering f
+        # and stops long before its 500-iteration cap.
+        _, trace = solve_aiht_batched(self.ill_conditioned_problem(),
+                                      SolverConfig(k=5, rel_tol=1e-15),
+                                      batch_fraction=0.5, seed=0)
+        assert trace.termination is Termination.CYCLED
+        assert len(trace) < 500
 
 
 class TestLineSearch:
@@ -454,6 +470,70 @@ class TestAihtBatched:
             solve_aiht_batched(problem, SolverConfig(k=2), batch_fraction=batch_fraction, seed=0)
 
 
+def revisits(records, i):
+    """Whether iteration i revisits an earlier support without going below
+    the least f before it: the iterations the cycle stop counts."""
+    earlier = records[:i]
+    return (records[i].support in {r.support for r in earlier}
+            and records[i].f >= min(r.f for r in earlier))
+
+
+def saturated_problem():
+    """The coreset target on a 50x10 Gaussian phi: at k = 6 the accelerated
+    solvers revisit supports without lowering f and stop ``cycled``."""
+    rng = np.random.default_rng(21)
+    return SparseRegressionProblem.from_columns(rng.standard_normal((50, 10)))
+
+
+class TestBestIterate:
+    # The vanilla step 1 / ||phi||^2 is twice the safe one, so its f
+    # oscillates, and every accelerated solve here ends ``cycled``: in each
+    # case the trace minimum comes long before the last iteration.
+    SOLVES = {
+        "vanilla": lambda problem, cfg: solve_vanilla_iht(
+            problem, cfg, step=1.0 / np.linalg.norm(problem.phi, 2) ** 2),
+        "aiht": solve_aiht,
+        "aiht_debias": solve_aiht_debias,
+        "aiht_batched": partial(solve_aiht_batched, batch_fraction=0.5, seed=0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_returned_weights_are_the_first_trace_minimum(self, name):
+        problem = saturated_problem()
+        w, trace = self.SOLVES[name](problem, SolverConfig(k=6))
+        fs = trace.objectives()
+        best = int(np.argmin(fs))
+        assert best < len(fs) - 1
+        assert objective(problem, w.w) == pytest.approx(fs[best], rel=1e-12, abs=0.0)
+        assert w.support.tolist() == list(trace.records[best].support)
+
+    @pytest.mark.parametrize("name", ["aiht", "aiht_debias", "aiht_batched"])
+    def test_cycled_solve_ends_on_revisits_that_do_not_lower_f(self, name):
+        _, trace = self.SOLVES[name](saturated_problem(), SolverConfig(k=6))
+        assert trace.termination is Termination.CYCLED
+        records = trace.records
+        start = len(records) - solvers_module.CYCLE_PATIENCE
+        assert all(revisits(records, i) for i in range(start, len(records)))
+        # The run that stopped the solve began there, not earlier.
+        assert not revisits(records, start - 1)
+
+    def test_stochastic_steps_do_not_count_toward_a_cycle(self):
+        # The stochastic phase of this solve revisits supports without
+        # lowering f for CYCLE_PATIENCE iterations in a row long before it
+        # switches to the exact gradient, and the solve goes on to converge.
+        problem = SparseRegressionProblem.from_columns(
+            np.random.default_rng(0).standard_normal((30, 40)))
+        capture = []
+        _, trace = solve_aiht_batched(problem, SolverConfig(k=5), batch_fraction=0.5,
+                                      seed=0, capture=capture)
+        assert trace.termination is Termination.CONVERGED
+        switch = next(t for t, c in enumerate(capture)
+                      if np.allclose(c["grad"], gradient(problem, c["z"]), rtol=1e-9, atol=0.0))
+        patience = solvers_module.CYCLE_PATIENCE
+        assert any(all(revisits(trace.records, i) for i in range(start, start + patience))
+                   for start in range(1, switch - patience + 1))
+
+
 class TestStepAlong:
     def test_equals_line_search_for_exact_restricted_gradient(self):
         rng = np.random.default_rng(15)
@@ -568,7 +648,9 @@ def reference_accelerated_iht(problem, cfg, *, debias, batch_fraction=None, seed
     """The accelerated-IHT loop written with the public helpers and a dense
     scan for every support: the kernel must match it bit for bit. A
     ``batch_fraction`` makes it the batched solver's loop, its masks drawn
-    from ``seed``."""
+    from ``seed``. It returns the first iterate of least f, and stops as
+    ``cycled`` after ``CYCLE_PATIENCE`` exact-gradient iterations in a row
+    that revisit a support without going below the least f before them."""
     batched = batch_fraction is not None
     rng = np.random.default_rng(seed)
     stochastic = batched and batch_fraction < 1.0
@@ -577,7 +659,7 @@ def reference_accelerated_iht(problem, cfg, *, debias, batch_fraction=None, seed
     z = np.zeros(n)
     records, capture = [], []
     termination = Termination.MAX_ITERS
-    stall_run = 0
+    stall_run = cycle_run = 0
     for t in range(cfg.max_iters or (500 if batched else 300)):
         if batched:  # until a stochastic run switches to the exact gradient
             grad = stochastic_gradient(problem, z, batch_fraction, rng)
@@ -617,9 +699,10 @@ def reference_accelerated_iht(problem, cfg, *, debias, batch_fraction=None, seed
         })
         done = _converged(w_next, w, cfg.rel_tol)
         w, z = w_next, z_next
-        if stochastic and (done or mu == 0.0):
-            stochastic = False
-            batched = False
+        if stochastic:
+            if done or mu == 0.0:
+                stochastic = False
+                batched = False
             continue
         if done:
             termination = Termination.CONVERGED
@@ -631,7 +714,12 @@ def reference_accelerated_iht(problem, cfg, *, debias, batch_fraction=None, seed
                 break
         else:
             stall_run = 0
-    return w, records, termination, capture
+        cycle_run = cycle_run + 1 if revisits(records, t) else 0
+        if cycle_run >= solvers_module.CYCLE_PATIENCE:
+            termination = Termination.CYCLED
+            break
+    best = min(range(len(records)), key=lambda i: records[i].f)
+    return capture[best]["w_next"], records, termination, capture
 
 
 class TestKernelMatchesReference:
@@ -771,7 +859,7 @@ class TestTraceSerialization:
         problem, _ = small_recovery_instance()
         _, trace = solve_aiht(problem, SolverConfig(k=2, max_iters=5))
         payload = json.loads(json.dumps(trace.to_dict()))
-        assert payload["termination"] in ("converged", "max_iters", "stalled")
+        assert payload["termination"] in ("converged", "max_iters", "stalled", "cycled")
         assert payload["fields"] == ["iter", "f", "mu", "tau", "support", "ns"]
         assert len(payload["records"]) == len(trace)
         assert all(len(row) == len(payload["fields"]) for row in payload["records"])
